@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
+#include <string>
 
+#include "api/registry.hpp"
+#include "core/moela.hpp"
 #include "exp/scenario.hpp"
 #include "moo/metrics.hpp"
 
@@ -62,15 +66,48 @@ TEST(PaperBenchConfig, PlatformSelection) {
   EXPECT_EQ(bench_platform(config).num_tiles(), 27u);
 }
 
-TEST(TunedRunConfig, UsesPaperParameters) {
+TEST(TunedRunOptions, UsesPaperParameters) {
   PaperBenchConfig config;
-  const auto run = tuned_run_config(config);
-  EXPECT_EQ(run.population_size, 50u);  // N = 50 (Sec. V.B)
-  EXPECT_EQ(run.n_local, 5u);
-  EXPECT_DOUBLE_EQ(run.moela.delta, 0.9);
-  EXPECT_EQ(run.moela.iter_early, 2u);
-  EXPECT_EQ(run.max_evaluations, config.max_evaluations);
-  EXPECT_DOUBLE_EQ(run.max_seconds, config.max_seconds);
+  config.max_evaluations = 1234;
+  config.max_seconds = 2.5;
+  config.snapshot_interval = 150;
+  config.seed = 9;
+  const api::RunOptions options = tuned_run_options(config);
+  EXPECT_EQ(options.max_evaluations, 1234u);
+  EXPECT_DOUBLE_EQ(options.max_seconds, 2.5);
+  EXPECT_EQ(options.snapshot_interval, 150u);
+  EXPECT_EQ(options.seed, 9u);
+  EXPECT_EQ(options.population_size, 50u);  // N = 50 (Sec. V.B)
+  EXPECT_EQ(options.n_local, 5u);
+  // Exactly the values the benches tune away from the library defaults.
+  const std::map<std::string, double> want{
+      {"moela.train_capacity", 2000},  {"moela.train_interval", 3},
+      {"moela.guide_mode", 1},         {"moela.forest.trees", 6},
+      {"moela.forest.max_depth", 8},   {"moela.forest.max_features", 16},
+      {"moela.forest.subsample", 0.7}, {"moela.ls.max_steps", 20},
+      {"moela.ls.max_evals", 60},      {"moos.ls.max_steps", 20},
+      {"moos.ls.max_evals", 60},       {"stage.train_capacity", 2000},
+      {"stage.forest.trees", 6},       {"stage.forest.max_depth", 8},
+      {"stage.forest.max_features", 16},
+      {"stage.forest.subsample", 0.7}, {"stage.ls.max_steps", 20},
+      {"stage.ls.neighbors_per_step", 4}};
+  EXPECT_EQ(options.knobs.values(), want);
+  // delta = 0.9 and iter_early = 2 come from the adapters' defaults.
+  const core::MoelaConfig defaults;
+  EXPECT_DOUBLE_EQ(options.knobs.get_or("moela.delta", defaults.delta), 0.9);
+  EXPECT_EQ(options.knobs.get_or("moela.iter_early", defaults.iter_early),
+            2u);
+}
+
+TEST(TunedRunOptions, EveryKnobIsRead) {
+  // A misspelt knob is silently ignored at run time; every key must be one
+  // some paper-bench optimizer declares.
+  const api::RunOptions options = tuned_run_options(PaperBenchConfig{});
+  EXPECT_TRUE(api::registry()
+                  .unknown_knob_keys(options.knobs,
+                                     {"moela", "moead", "moos", "moo-stage",
+                                      "nsga2"})
+                  .empty());
 }
 
 TEST(Scenario, SmokeRunProducesComparableTraces) {
