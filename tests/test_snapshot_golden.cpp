@@ -72,45 +72,70 @@ std::shared_ptr<const RunSnapshot> last_streamed_snapshot(
   return last;
 }
 
-TEST(SnapshotGolden, EveryAlgorithmsSnapshotMatchesItsCheckedInBytes) {
+/// A moela request on the small NoC long enough that later generations pick
+/// their local-search starts by the Eval model's predictions (gen >=
+/// iter_early with a trained forest). golden_request() stops at 16
+/// evaluations, before the model is ever consulted, so this is the golden
+/// that pins the forest trainer's output.
+RunRequest guided_request() {
+  RunRequest request = golden_request("moela");
+  request.problem = "noc";
+  request.problem_options = {};
+  request.problem_options.num_objectives = 3;
+  request.problem_options.small_platform = true;
+  request.options.max_evaluations = 200;
+  request.options.snapshot_interval = 50;
+  return request;
+}
+
+/// Checks `request`'s last streamed snapshot against `<stem>.snap.json`
+/// (or rewrites the file under MOELA_UPDATE_GOLDENS).
+void expect_matches_golden(const std::string& stem,
+                           const RunRequest& request) {
   const bool update = std::getenv("MOELA_UPDATE_GOLDENS") != nullptr;
+  if (update) std::filesystem::create_directories(golden_dir());
+  const std::shared_ptr<const RunSnapshot> snapshot =
+      last_streamed_snapshot(request);
+  ASSERT_NE(snapshot, nullptr) << stem << " streamed no snapshot";
+  EXPECT_EQ(snapshot->fingerprint, snapshot_fingerprint(request));
+  EXPECT_EQ(snapshot->evaluations, snapshot->journal.size());
+  EXPECT_GT(snapshot->evaluations, 0u);
+
+  const std::string text = snapshot_to_text(*snapshot);
+  const std::filesystem::path file = golden_dir() / (stem + ".snap.json");
+  if (update) {
+    std::ofstream out(file, std::ios::binary);
+    out << text;
+    return;
+  }
+  ASSERT_TRUE(std::filesystem::exists(file))
+      << file << " missing - regenerate with MOELA_UPDATE_GOLDENS=1";
+  std::ifstream in(file, std::ios::binary);
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(text, golden.str())
+      << stem << ": snapshot bytes drifted from the checked-in golden; "
+      << "if intentional, bump kSnapshotSchemaVersion and regenerate";
+
+  // And the golden itself must replay: decode it and resume the run from
+  // it — the report must be bit-identical to the uninterrupted one.
+  const RunSnapshot decoded = snapshot_from_text(golden.str());
+  EXPECT_EQ(decoded.fingerprint, snapshot->fingerprint);
+  EXPECT_EQ(decoded.evaluations, snapshot->evaluations);
+  EXPECT_EQ(decoded.journal, snapshot->journal);
+}
+
+TEST(SnapshotGolden, EveryAlgorithmsSnapshotMatchesItsCheckedInBytes) {
   const std::vector<std::string> names = registry().names();
   ASSERT_GE(names.size(), 8u);
-  if (update) std::filesystem::create_directories(golden_dir());
-
   for (const std::string& name : names) {
     SCOPED_TRACE(name);
-    const RunRequest request = golden_request(name);
-    const std::shared_ptr<const RunSnapshot> snapshot =
-        last_streamed_snapshot(request);
-    ASSERT_NE(snapshot, nullptr) << name << " streamed no snapshot";
-    EXPECT_EQ(snapshot->fingerprint, snapshot_fingerprint(request));
-    EXPECT_EQ(snapshot->evaluations, snapshot->journal.size());
-    EXPECT_GT(snapshot->evaluations, 0u);
-
-    const std::string text = snapshot_to_text(*snapshot);
-    const std::filesystem::path file = golden_dir() / (name + ".snap.json");
-    if (update) {
-      std::ofstream out(file, std::ios::binary);
-      out << text;
-      continue;
-    }
-    ASSERT_TRUE(std::filesystem::exists(file))
-        << file << " missing - regenerate with MOELA_UPDATE_GOLDENS=1";
-    std::ifstream in(file, std::ios::binary);
-    std::ostringstream golden;
-    golden << in.rdbuf();
-    EXPECT_EQ(text, golden.str())
-        << name << ": snapshot bytes drifted from the checked-in golden; "
-        << "if intentional, bump kSnapshotSchemaVersion and regenerate";
-
-    // And the golden itself must replay: decode it and resume the run from
-    // it — the report must be bit-identical to the uninterrupted one.
-    const RunSnapshot decoded = snapshot_from_text(golden.str());
-    EXPECT_EQ(decoded.fingerprint, snapshot->fingerprint);
-    EXPECT_EQ(decoded.evaluations, snapshot->evaluations);
-    EXPECT_EQ(decoded.journal, snapshot->journal);
+    expect_matches_golden(name, golden_request(name));
   }
+}
+
+TEST(SnapshotGolden, GuidedMoelaRunMatchesItsCheckedInBytes) {
+  expect_matches_golden("moela-guided", guided_request());
 }
 
 TEST(SnapshotGolden, ResumingFromTheGoldenIsBitIdenticalForEveryAlgorithm) {
