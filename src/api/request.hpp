@@ -23,9 +23,11 @@ namespace moela::api {
 /// schema, the report serialization, or any algorithm's search behavior
 /// changes in a way that makes old cached reports wrong — stale entries
 /// written by older binaries then read as misses instead of being served
-/// (or, worse, aliased). History: v1 = PR 2 initial schema; v2 = PR 3
-/// (serve daemon; report schema gained the JSON wire form).
-inline constexpr unsigned kCacheSchemaVersion = 2;
+/// (or, worse, aliased). History: v1 = initial schema; v2 = report schema
+/// gained the JSON wire form; v3 = rank-bucket forest trainer (split ties
+/// now break by a different summation order, so seeded moela and moo-stage
+/// runs that train the Eval model changed).
+inline constexpr unsigned kCacheSchemaVersion = 3;
 
 /// One schedulable run: which problem, which algorithm, which budgets.
 /// A plain value — copying is cheap (the bound problem, if any, is shared).

@@ -8,78 +8,143 @@
 
 namespace moela::ml {
 
-namespace {
-
-double mean_target(const Dataset& data, std::span<const std::size_t> idx) {
-  double s = 0.0;
-  for (std::size_t i : idx) s += data.target(i);
-  return idx.empty() ? 0.0 : s / static_cast<double>(idx.size());
+RankTable::RankTable(const Dataset& data)
+    : data_(&data), ranks_(data.num_features() * data.size()) {
+  const std::size_t n = data.size();
+  value_begin_.reserve(data.num_features() + 1);
+  value_begin_.push_back(0);
+  std::vector<double> distinct;
+  for (std::size_t f = 0; f < data.num_features(); ++f) {
+    const std::span<const double> column = data.column(f);
+    distinct.assign(column.begin(), column.end());
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    std::uint32_t* rank = ranks_.data() + f * n;
+    for (std::size_t s = 0; s < n; ++s) {
+      rank[s] = static_cast<std::uint32_t>(
+          std::lower_bound(distinct.begin(), distinct.end(), column[s]) -
+          distinct.begin());
+    }
+    values_.insert(values_.end(), distinct.begin(), distinct.end());
+    value_begin_.push_back(values_.size());
+    max_distinct_ = std::max(max_distinct_, distinct.size());
+  }
 }
 
-/// Finds the best (threshold, SSE) split of `idx` on `feature`. Returns
-/// infinity SSE when no valid split exists (all values equal or leaf bound).
-struct SplitResult {
-  double sse = std::numeric_limits<double>::infinity();
-  double threshold = 0.0;
+/// Buffers shared by every node of one fit.
+struct DecisionTree::Scratch {
+  /// Storage slots of the samples; each node owns a [begin, end) range.
+  std::vector<std::size_t> slots;
+  /// Targets of the current node's samples, in node order.
+  std::vector<double> y;
+  /// Per-rank buckets, all zero between uses.
+  std::vector<std::uint32_t> count;
+  std::vector<double> sum;
+  std::vector<double> sq;
+  /// (rank << 32 | node position) keys of the sorting path.
+  std::vector<std::uint64_t> keys;
+  /// Whether each node draws its candidate features; if not, every node
+  /// examines all of them.
+  bool draw_features = false;
+  std::vector<std::size_t> all_features;
 };
 
-SplitResult best_split_on_feature(const Dataset& data,
-                                  std::span<const std::size_t> idx,
-                                  std::size_t feature,
-                                  std::size_t min_samples_leaf,
-                                  std::vector<std::size_t>& scratch) {
-  scratch.assign(idx.begin(), idx.end());
-  std::sort(scratch.begin(), scratch.end(), [&](std::size_t a, std::size_t b) {
-    return data.features(a)[feature] < data.features(b)[feature];
-  });
+namespace {
 
-  const std::size_t n = scratch.size();
-  // Prefix sums allow O(1) SSE of each side:
-  //   SSE = sum(y^2) - (sum y)^2 / n.
-  double left_sum = 0.0, left_sq = 0.0;
-  double total_sum = 0.0, total_sq = 0.0;
-  for (std::size_t i : scratch) {
-    const double y = data.target(i);
-    total_sum += y;
-    total_sq += y * y;
+/// The best split of one node so far, across the features scanned.
+struct BestSplit {
+  double sse = std::numeric_limits<double>::infinity();
+  double threshold = 0.0;
+  std::size_t feature = static_cast<std::size_t>(-1);
+};
+
+/// Walks one feature's equal-value groups in ascending rank order and
+/// offers the split between each pair of neighbouring groups to `best`.
+/// SSE of a side = sum(y^2) - (sum y)^2 / n.
+class GroupScan {
+ public:
+  GroupScan(BestSplit& best, std::size_t feature,
+            std::span<const double> values, std::size_t n, double total_sum,
+            double total_sq, std::size_t min_samples_leaf)
+      : best_(best),
+        feature_(feature),
+        values_(values),
+        n_(n),
+        total_sum_(total_sum),
+        total_sq_(total_sq),
+        min_leaf_(min_samples_leaf) {}
+
+  void add(std::uint32_t rank, std::size_t count, double sum, double sq) {
+    if (left_count_ > 0) offer_split_before(rank);
+    left_count_ += count;
+    left_sum_ += sum;
+    left_sq_ += sq;
+    prev_rank_ = rank;
   }
 
-  SplitResult best;
-  for (std::size_t k = 0; k + 1 < n; ++k) {
-    const double y = data.target(scratch[k]);
-    left_sum += y;
-    left_sq += y * y;
-    const double xk = data.features(scratch[k])[feature];
-    const double xn = data.features(scratch[k + 1])[feature];
-    if (xk == xn) continue;  // cannot split between equal values
-    const std::size_t nl = k + 1;
-    const std::size_t nr = n - nl;
-    if (nl < min_samples_leaf || nr < min_samples_leaf) continue;
-    const double right_sum = total_sum - left_sum;
-    const double right_sq = total_sq - left_sq;
-    const double sse_l = left_sq - left_sum * left_sum / static_cast<double>(nl);
+ private:
+  void offer_split_before(std::uint32_t rank) {
+    const std::size_t nl = left_count_;
+    const std::size_t nr = n_ - nl;
+    if (nl < min_leaf_ || nr < min_leaf_) return;
+    const double right_sum = total_sum_ - left_sum_;
+    const double right_sq = total_sq_ - left_sq_;
+    const double sse_l =
+        left_sq_ - left_sum_ * left_sum_ / static_cast<double>(nl);
     const double sse_r =
         right_sq - right_sum * right_sum / static_cast<double>(nr);
     const double sse = sse_l + sse_r;
-    if (sse < best.sse) {
-      best.sse = sse;
-      best.threshold = 0.5 * (xk + xn);
+    if (sse < best_.sse) {
+      best_.sse = sse;
+      best_.threshold = 0.5 * (values_[prev_rank_] + values_[rank]);
+      best_.feature = feature_;
     }
   }
-  return best;
-}
+
+  BestSplit& best_;
+  std::size_t feature_;
+  std::span<const double> values_;
+  std::size_t n_;
+  double total_sum_;
+  double total_sq_;
+  std::size_t min_leaf_;
+  std::size_t left_count_ = 0;
+  double left_sum_ = 0.0;
+  double left_sq_ = 0.0;
+  std::uint32_t prev_rank_ = 0;
+};
 
 }  // namespace
 
-void DecisionTree::fit(const Dataset& data,
+void DecisionTree::fit(const RankTable& table,
                        std::span<const std::size_t> sample_indices,
                        const TreeConfig& config, util::Rng& rng) {
   if (sample_indices.empty()) {
     throw std::invalid_argument("DecisionTree::fit: no samples");
   }
+  const Dataset& data = table.data();
   nodes_.clear();
-  std::vector<std::size_t> idx(sample_indices.begin(), sample_indices.end());
-  build(data, idx, 0, idx.size(), config, 0, rng);
+  Scratch s;
+  s.slots.reserve(sample_indices.size());
+  for (std::size_t i : sample_indices) s.slots.push_back(data.slot(i));
+  s.y.resize(sample_indices.size());
+  s.count.assign(table.max_distinct(), 0);
+  s.sum.assign(table.max_distinct(), 0.0);
+  s.sq.assign(table.max_distinct(), 0.0);
+  s.draw_features = config.max_features != 0 &&
+                    config.max_features < data.num_features();
+  if (!s.draw_features) {
+    s.all_features.resize(data.num_features());
+    std::iota(s.all_features.begin(), s.all_features.end(), std::size_t{0});
+  }
+  build(table, s, 0, s.slots.size(), config, 0, rng);
+}
+
+void DecisionTree::fit(const Dataset& data,
+                       std::span<const std::size_t> sample_indices,
+                       const TreeConfig& config, util::Rng& rng) {
+  fit(RankTable(data), sample_indices, config, rng);
 }
 
 void DecisionTree::fit(const Dataset& data, const TreeConfig& config,
@@ -89,72 +154,113 @@ void DecisionTree::fit(const Dataset& data, const TreeConfig& config,
   fit(data, all, config, rng);
 }
 
-std::size_t DecisionTree::build(const Dataset& data,
-                                std::vector<std::size_t>& indices,
+std::size_t DecisionTree::build(const RankTable& table, Scratch& s,
                                 std::size_t begin, std::size_t end,
                                 const TreeConfig& config, std::size_t depth,
                                 util::Rng& rng) {
   const std::size_t node_id = nodes_.size();
   nodes_.emplace_back();
-  std::span<const std::size_t> idx(indices.data() + begin, end - begin);
-  const double value = mean_target(data, idx);
+  const Dataset& data = table.data();
+  const std::span<const std::size_t> slots(s.slots.data() + begin,
+                                           end - begin);
+  const std::size_t n = slots.size();
+  const std::span<const double> targets = data.targets();
+  double total_sum = 0.0, total_sq = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const double y = targets[slots[k]];
+    s.y[k] = y;
+    total_sum += y;
+    total_sq += y * y;
+  }
+  const double value = total_sum / static_cast<double>(n);
   nodes_[node_id].value = value;
 
-  const std::size_t n = end - begin;
   bool make_leaf = depth >= config.max_depth || n < config.min_samples_split;
   if (!make_leaf) {
     // Leaf if targets are (numerically) constant.
-    bool constant = true;
-    for (std::size_t i : idx) {
-      if (std::abs(data.target(i) - value) > 1e-12) {
-        constant = false;
-        break;
-      }
-    }
-    make_leaf = constant;
+    make_leaf = std::none_of(s.y.begin(), s.y.begin() + n, [&](double y) {
+      return std::abs(y - value) > 1e-12;
+    });
   }
   if (make_leaf) return node_id;
 
   // Candidate features: a random subset of size max_features (forest mode)
   // or all features.
-  const std::size_t f = data.num_features();
-  std::vector<std::size_t> feats;
-  if (config.max_features == 0 || config.max_features >= f) {
-    feats.resize(f);
-    std::iota(feats.begin(), feats.end(), std::size_t{0});
-  } else {
-    feats = rng.sample_indices(f, config.max_features);
+  std::vector<std::size_t> drawn;
+  if (s.draw_features) {
+    drawn = rng.sample_indices(data.num_features(), config.max_features);
   }
+  const std::vector<std::size_t>& feats =
+      s.draw_features ? drawn : s.all_features;
 
-  SplitResult best;
-  std::size_t best_feature = Node::kLeaf;
-  std::vector<std::size_t> scratch;
+  BestSplit best;
   for (std::size_t feature : feats) {
-    const SplitResult r = best_split_on_feature(
-        data, idx, feature, config.min_samples_leaf, scratch);
-    if (r.sse < best.sse) {
-      best = r;
-      best_feature = feature;
+    const std::span<const std::uint32_t> ranks = table.ranks(feature);
+    const std::span<const double> values = table.values(feature);
+    if (values.size() < 2) continue;  // constant over the whole dataset
+    GroupScan scan(best, feature, values, n, total_sum, total_sq,
+                   config.min_samples_leaf);
+    if (values.size() <= n) {
+      // Few distinct values: one pass into per-rank buckets.
+      std::uint32_t lo = std::numeric_limits<std::uint32_t>::max(), hi = 0;
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::uint32_t r = ranks[slots[k]];
+        ++s.count[r];
+        s.sum[r] += s.y[k];
+        s.sq[r] += s.y[k] * s.y[k];
+        lo = std::min(lo, r);
+        hi = std::max(hi, r);
+      }
+      for (std::uint32_t r = lo; r <= hi; ++r) {
+        if (s.count[r] == 0) continue;
+        if (lo != hi) scan.add(r, s.count[r], s.sum[r], s.sq[r]);
+        s.count[r] = 0;
+        s.sum[r] = 0.0;
+        s.sq[r] = 0.0;
+      }
+      continue;
+    }
+    // Many distinct values: sort the node's (rank, position) keys.
+    s.keys.clear();
+    std::uint32_t lo = std::numeric_limits<std::uint32_t>::max(), hi = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::uint32_t r = ranks[slots[k]];
+      s.keys.push_back(std::uint64_t{r} << 32 | k);
+      lo = std::min(lo, r);
+      hi = std::max(hi, r);
+    }
+    if (lo == hi) continue;  // constant in this node
+    std::sort(s.keys.begin(), s.keys.end());
+    for (std::size_t j = 0; j < n;) {
+      const auto r = static_cast<std::uint32_t>(s.keys[j] >> 32);
+      std::size_t count = 0;
+      double sum = 0.0, sq = 0.0;
+      for (; j < n && static_cast<std::uint32_t>(s.keys[j] >> 32) == r; ++j) {
+        const double y = s.y[s.keys[j] & 0xffffffffu];
+        ++count;
+        sum += y;
+        sq += y * y;
+      }
+      scan.add(r, count, sum, sq);
     }
   }
-  if (best_feature == Node::kLeaf) return node_id;  // no valid split found
+  if (best.feature == Node::kLeaf) return node_id;  // no valid split found
 
-  // Partition [begin, end) in place around the chosen threshold.
-  auto mid_it = std::partition(
-      indices.begin() + static_cast<std::ptrdiff_t>(begin),
-      indices.begin() + static_cast<std::ptrdiff_t>(end), [&](std::size_t i) {
-        return data.features(i)[best_feature] <= best.threshold;
-      });
-  const auto mid =
-      static_cast<std::size_t>(mid_it - indices.begin());
+  // Partition [begin, end) in place around the chosen threshold, keeping
+  // node order within each child.
+  const std::span<const double> column = data.column(best.feature);
+  const auto first = s.slots.begin() + static_cast<std::ptrdiff_t>(begin);
+  const auto mid_it = std::stable_partition(
+      first, s.slots.begin() + static_cast<std::ptrdiff_t>(end),
+      [&](std::size_t slot) { return column[slot] <= best.threshold; });
+  const auto mid = static_cast<std::size_t>(mid_it - s.slots.begin());
   if (mid == begin || mid == end) return node_id;  // degenerate partition
 
-  nodes_[node_id].feature = best_feature;
+  nodes_[node_id].feature = best.feature;
   nodes_[node_id].threshold = best.threshold;
   const std::size_t left =
-      build(data, indices, begin, mid, config, depth + 1, rng);
-  const std::size_t right =
-      build(data, indices, mid, end, config, depth + 1, rng);
+      build(table, s, begin, mid, config, depth + 1, rng);
+  const std::size_t right = build(table, s, mid, end, config, depth + 1, rng);
   nodes_[node_id].left = left;
   nodes_[node_id].right = right;
   return node_id;

@@ -4,9 +4,22 @@
 // The tree is the base learner of the random forest that implements MOELA's
 // (and MOO-STAGE's) learned evaluation function. Exact split search over all
 // candidate thresholds of a random feature subset per node.
+//
+// The search never sorts samples by value. A RankTable, built once per fit,
+// replaces every value by its rank among the column's distinct values, and
+// a node scans per-rank (count, sum, sum of squares) groups in rank order:
+// by one bucketing pass when the column has no more distinct values than
+// the node has samples (one-hot and small-integer columns), else by
+// sorting (rank, node position) keys. Either way each group is summed in
+// node order, so both paths give the same bits.
+//
+// Ties: within a feature the lowest threshold with the smallest SSE wins;
+// across features the first drawn feature wins (strict <). Which split
+// wins an exact SSE tie thus depends on the summation order above.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -24,10 +37,40 @@ struct TreeConfig {
   std::size_t max_features = 0;
 };
 
+/// A Dataset's columns as ranks: for every column its sorted distinct
+/// values, and for every storage slot the rank of its value among them.
+class RankTable {
+ public:
+  explicit RankTable(const Dataset& data);
+
+  const Dataset& data() const { return *data_; }
+  /// Rank of each slot's value of feature f, in slot order.
+  std::span<const std::uint32_t> ranks(std::size_t f) const {
+    return {ranks_.data() + f * data_->size(), data_->size()};
+  }
+  /// Distinct values of feature f, ascending.
+  std::span<const double> values(std::size_t f) const {
+    return {values_.data() + value_begin_[f],
+            value_begin_[f + 1] - value_begin_[f]};
+  }
+  std::size_t max_distinct() const { return max_distinct_; }
+
+ private:
+  const Dataset* data_;
+  std::vector<std::uint32_t> ranks_;
+  std::vector<double> values_;
+  std::vector<std::size_t> value_begin_;
+  std::size_t max_distinct_ = 0;
+};
+
 class DecisionTree {
  public:
-  /// Fits the tree to `data` restricted to `sample_indices` (the forest
-  /// passes a bootstrap sample; pass all indices for a plain tree).
+  /// Fits the tree to the samples at logical `sample_indices` of the
+  /// table's dataset (the forest passes a bootstrap sample).
+  void fit(const RankTable& table, std::span<const std::size_t> sample_indices,
+           const TreeConfig& config, util::Rng& rng);
+
+  /// Builds the rank table for a single fit.
   void fit(const Dataset& data, std::span<const std::size_t> sample_indices,
            const TreeConfig& config, util::Rng& rng);
 
@@ -51,10 +94,11 @@ class DecisionTree {
     std::size_t right = 0;
   };
 
-  std::size_t build(const Dataset& data, std::vector<std::size_t>& indices,
-                    std::size_t begin, std::size_t end,
-                    const TreeConfig& config, std::size_t depth,
-                    util::Rng& rng);
+  struct Scratch;
+
+  std::size_t build(const RankTable& table, Scratch& s, std::size_t begin,
+                    std::size_t end, const TreeConfig& config,
+                    std::size_t depth, util::Rng& rng);
 
   std::vector<Node> nodes_;
 };

@@ -27,11 +27,12 @@ void RandomForest::fit(const Dataset& data, util::Rng& rng) {
       1, static_cast<std::size_t>(std::llround(
              config_.subsample * static_cast<double>(n))));
 
+  const RankTable table(data);
   std::vector<std::size_t> bootstrap(sample_size);
   for (std::size_t t = 0; t < config_.num_trees; ++t) {
     for (auto& b : bootstrap) b = rng.below(n);  // with replacement
     DecisionTree tree;
-    tree.fit(data, bootstrap, tree_config, rng);
+    tree.fit(table, bootstrap, tree_config, rng);
     trees_.push_back(std::move(tree));
   }
 }
@@ -54,7 +55,7 @@ double RandomForest::r_squared(const RandomForest& model,
   double ss_res = 0.0, ss_tot = 0.0;
   for (std::size_t i = 0; i < data.size(); ++i) {
     const double y = data.target(i);
-    const double pred = model.predict(data.features(i));
+    const double pred = model.predict(data.row(i));
     ss_res += (y - pred) * (y - pred);
     ss_tot += (y - mean) * (y - mean);
   }

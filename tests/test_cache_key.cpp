@@ -28,7 +28,7 @@ TEST(CacheKeyGolden, VersionSaltLeadsTheKey) {
       << "cache keys must start with the schema-version salt";
   // The salt itself is pinned: bumping it intentionally means updating the
   // golden strings below in the same commit.
-  EXPECT_EQ(kCacheSchemaVersion, 2u);
+  EXPECT_EQ(kCacheSchemaVersion, 3u);
 }
 
 TEST(CacheKeyGolden, DefaultOptionsKey) {
@@ -36,7 +36,7 @@ TEST(CacheKeyGolden, DefaultOptionsKey) {
   request.problem = "zdt1";
   request.algorithm = "moela";
   EXPECT_EQ(request.cache_key(),
-            "moela-run-v2|problem=zdt1|objectives=0|variables=0|"
+            "moela-run-v3|problem=zdt1|objectives=0|variables=0|"
             "instance_seed=1|app=BFS|small=0|algorithm=moela|evals=20000|"
             "seconds=0x0p+0|snapshot=500|seed=1|pop=50|n_local=5|knobs=");
 }
@@ -58,7 +58,7 @@ TEST(CacheKeyGolden, FullyLoadedNocKey) {
   request.options.knobs.set("moos.temperature", 0.75).set("moos.alpha", 2);
   // Knobs render sorted, doubles as hexfloat — both pinned here.
   EXPECT_EQ(request.cache_key(),
-            "moela-run-v2|problem=noc|objectives=5|variables=0|"
+            "moela-run-v3|problem=noc|objectives=5|variables=0|"
             "instance_seed=3|app=SRAD|small=1|algorithm=moos|evals=4000|"
             "seconds=0x1.4p+1|snapshot=250|seed=11|pop=24|n_local=4|"
             "knobs=moos.alpha=0x1p+1,moos.temperature=0x1.8p-1");
@@ -72,7 +72,7 @@ TEST(CacheKeyGolden, KnapsackVariablesKey) {
   request.options.seed = 9;
   request.options.knobs.set("nsga2.max_generations", 120);
   EXPECT_EQ(request.cache_key(),
-            "moela-run-v2|problem=knapsack|objectives=0|variables=64|"
+            "moela-run-v3|problem=knapsack|objectives=0|variables=64|"
             "instance_seed=1|app=BFS|small=0|algorithm=nsga2|evals=20000|"
             "seconds=0x0p+0|snapshot=500|seed=9|pop=50|n_local=5|"
             "knobs=nsga2.max_generations=0x1.ep+6");
