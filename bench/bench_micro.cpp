@@ -15,9 +15,11 @@
 #include "api/any_problem.hpp"
 #include "api/executor.hpp"
 #include "api/request.hpp"
+#include "core/eval_model.hpp"
 #include "ml/random_forest.hpp"
 #include "moo/hypervolume.hpp"
 #include "moo/scalarize.hpp"
+#include "moo/weights.hpp"
 #include "noc/generator.hpp"
 #include "noc/objectives.hpp"
 #include "noc/problem.hpp"
@@ -161,6 +163,47 @@ void BM_ForestTrain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ForestTrain)->Arg(500)->Arg(2000)->Arg(4000);
+
+// The Eval model as MOELA trains it on the paper's 4x4x4 NoC: default forest
+// (24 trees, a third of the 273 columns per split) over S_train rows of
+// [design features | objectives | weight], labelled with the final Eq. (8)
+// value of a greedy descent. 192 design columns are one-hot and 71 hold
+// small integers, unlike BM_ForestTrain's all-uniform worst case.
+// Arg = |S_train|; a 2000-evaluation noc-moela run ends near 850.
+void BM_ForestTrainNocEval(benchmark::State& state) {
+  NocFixture f;
+  const noc::NocProblem problem(f.spec, f.workload, 5);
+  const auto weights = moo::uniform_weights(5, 50);
+  const moo::ObjectiveVector origin(5, 0.0);
+  core::EvalModel model(problem.num_features(), 5);
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  while (model.num_samples() < rows) {
+    // One descent trajectory: up to 6 accepted neighbors from a random
+    // start, all labelled with the best value reached.
+    const moo::WeightVector& w = f.rng.pick(weights);
+    std::vector<noc::NocDesign> path{problem.random_design(f.rng)};
+    std::vector<moo::ObjectiveVector> objs{problem.evaluate(path.back())};
+    double best = moo::weighted_distance(objs.back(), w, origin);
+    for (int step = 0; step < 6; ++step) {
+      auto next = problem.random_neighbor(path.back(), f.rng);
+      auto obj = problem.evaluate(next);
+      const double g = moo::weighted_distance(obj, w, origin);
+      if (g >= best) continue;
+      best = g;
+      path.push_back(std::move(next));
+      objs.push_back(std::move(obj));
+    }
+    for (std::size_t i = 0; i < path.size(); ++i) {
+      model.add_sample(problem.features(path[i]), objs[i], w, best);
+    }
+  }
+  util::Rng rng(5);
+  for (auto _ : state) {
+    model.train(rng);
+    benchmark::DoNotOptimize(model.trained());
+  }
+}
+BENCHMARK(BM_ForestTrainNocEval)->Arg(850)->Unit(benchmark::kMillisecond);
 
 void BM_ForestPredict(benchmark::State& state) {
   const auto d = eval_style_dataset(2000, 260);

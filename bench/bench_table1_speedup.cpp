@@ -5,7 +5,8 @@
 // Metric (Sec. V.C): T_convergence / T_MOELA, where T_convergence is when
 // the competitor reaches its converged PHV (< 0.5% improvement over 5 trace
 // windows) and T_MOELA is when MOELA first reaches that same PHV. The time
-// axis here is objective-evaluation count (see DESIGN.md substitutions).
+// axis here is objective-evaluation count (see docs/reproduction.md, "Key
+// design decisions").
 //
 // Environment knobs: MOELA_BENCH_EVALS, MOELA_BENCH_SMALL, MOELA_BENCH_SEED.
 #include <cstdio>

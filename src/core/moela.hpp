@@ -16,7 +16,8 @@
 //     sub-problems.
 //
 // The ablation switches (use_ml_guide / use_local_search / use_ea) reduce
-// MOELA to its components for the A1 ablation study in DESIGN.md.
+// MOELA to its components for the A1 ablation study (docs/reproduction.md,
+// "Experiments").
 #pragma once
 
 #include <algorithm>

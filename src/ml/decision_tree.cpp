@@ -36,8 +36,11 @@ RankTable::RankTable(const Dataset& data)
 struct DecisionTree::Scratch {
   /// Storage slots of the samples; each node owns a [begin, end) range.
   std::vector<std::size_t> slots;
-  /// Targets of the current node's samples, in node order.
+  /// Targets of the current node's samples and their squares, in node
+  /// order. Squaring once here leaves the scans only additions, which no
+  /// compiler can contract differently in the two paths.
   std::vector<double> y;
+  std::vector<double> y2;
   /// Per-rank buckets, all zero between uses.
   std::vector<std::uint32_t> count;
   std::vector<double> sum;
@@ -59,62 +62,6 @@ struct BestSplit {
   std::size_t feature = static_cast<std::size_t>(-1);
 };
 
-/// Walks one feature's equal-value groups in ascending rank order and
-/// offers the split between each pair of neighbouring groups to `best`.
-/// SSE of a side = sum(y^2) - (sum y)^2 / n.
-class GroupScan {
- public:
-  GroupScan(BestSplit& best, std::size_t feature,
-            std::span<const double> values, std::size_t n, double total_sum,
-            double total_sq, std::size_t min_samples_leaf)
-      : best_(best),
-        feature_(feature),
-        values_(values),
-        n_(n),
-        total_sum_(total_sum),
-        total_sq_(total_sq),
-        min_leaf_(min_samples_leaf) {}
-
-  void add(std::uint32_t rank, std::size_t count, double sum, double sq) {
-    if (left_count_ > 0) offer_split_before(rank);
-    left_count_ += count;
-    left_sum_ += sum;
-    left_sq_ += sq;
-    prev_rank_ = rank;
-  }
-
- private:
-  void offer_split_before(std::uint32_t rank) {
-    const std::size_t nl = left_count_;
-    const std::size_t nr = n_ - nl;
-    if (nl < min_leaf_ || nr < min_leaf_) return;
-    const double right_sum = total_sum_ - left_sum_;
-    const double right_sq = total_sq_ - left_sq_;
-    const double sse_l =
-        left_sq_ - left_sum_ * left_sum_ / static_cast<double>(nl);
-    const double sse_r =
-        right_sq - right_sum * right_sum / static_cast<double>(nr);
-    const double sse = sse_l + sse_r;
-    if (sse < best_.sse) {
-      best_.sse = sse;
-      best_.threshold = 0.5 * (values_[prev_rank_] + values_[rank]);
-      best_.feature = feature_;
-    }
-  }
-
-  BestSplit& best_;
-  std::size_t feature_;
-  std::span<const double> values_;
-  std::size_t n_;
-  double total_sum_;
-  double total_sq_;
-  std::size_t min_leaf_;
-  std::size_t left_count_ = 0;
-  double left_sum_ = 0.0;
-  double left_sq_ = 0.0;
-  std::uint32_t prev_rank_ = 0;
-};
-
 }  // namespace
 
 void DecisionTree::fit(const RankTable& table,
@@ -129,6 +76,7 @@ void DecisionTree::fit(const RankTable& table,
   s.slots.reserve(sample_indices.size());
   for (std::size_t i : sample_indices) s.slots.push_back(data.slot(i));
   s.y.resize(sample_indices.size());
+  s.y2.resize(sample_indices.size());
   s.count.assign(table.max_distinct(), 0);
   s.sum.assign(table.max_distinct(), 0.0);
   s.sq.assign(table.max_distinct(), 0.0);
@@ -141,17 +89,11 @@ void DecisionTree::fit(const RankTable& table,
   build(table, s, 0, s.slots.size(), config, 0, rng);
 }
 
-void DecisionTree::fit(const Dataset& data,
-                       std::span<const std::size_t> sample_indices,
-                       const TreeConfig& config, util::Rng& rng) {
-  fit(RankTable(data), sample_indices, config, rng);
-}
-
 void DecisionTree::fit(const Dataset& data, const TreeConfig& config,
                        util::Rng& rng) {
   std::vector<std::size_t> all(data.size());
   std::iota(all.begin(), all.end(), std::size_t{0});
-  fit(data, all, config, rng);
+  fit(RankTable(data), all, config, rng);
 }
 
 std::size_t DecisionTree::build(const RankTable& table, Scratch& s,
@@ -167,10 +109,10 @@ std::size_t DecisionTree::build(const RankTable& table, Scratch& s,
   const std::span<const double> targets = data.targets();
   double total_sum = 0.0, total_sq = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
-    const double y = targets[slots[k]];
-    s.y[k] = y;
-    total_sum += y;
-    total_sq += y * y;
+    s.y[k] = targets[slots[k]];
+    s.y2[k] = s.y[k] * s.y[k];
+    total_sum += s.y[k];
+    total_sq += s.y2[k];
   }
   const double value = total_sum / static_cast<double>(n);
   nodes_[node_id].value = value;
@@ -198,8 +140,36 @@ std::size_t DecisionTree::build(const RankTable& table, Scratch& s,
     const std::span<const std::uint32_t> ranks = table.ranks(feature);
     const std::span<const double> values = table.values(feature);
     if (values.size() < 2) continue;  // constant over the whole dataset
-    GroupScan scan(best, feature, values, n, total_sum, total_sq,
-                   config.min_samples_leaf);
+    // Takes the feature's equal-value groups in ascending rank order and
+    // offers the split between each group and the one before it.
+    // SSE of a side = sum(y^2) - (sum y)^2 / n.
+    std::size_t left_count = 0;
+    double left_sum = 0.0, left_sq = 0.0;
+    std::uint32_t prev_rank = 0;
+    const auto add_group = [&](std::uint32_t rank, std::size_t count,
+                               double sum, double sq) {
+      const std::size_t nl = left_count;
+      const std::size_t nr = n - nl;
+      if (nl > 0 && nl >= config.min_samples_leaf &&
+          nr >= config.min_samples_leaf) {
+        const double right_sum = total_sum - left_sum;
+        const double right_sq = total_sq - left_sq;
+        const double sse_l =
+            left_sq - left_sum * left_sum / static_cast<double>(nl);
+        const double sse_r =
+            right_sq - right_sum * right_sum / static_cast<double>(nr);
+        const double sse = sse_l + sse_r;
+        if (sse < best.sse) {
+          best.sse = sse;
+          best.threshold = 0.5 * (values[prev_rank] + values[rank]);
+          best.feature = feature;
+        }
+      }
+      left_count += count;
+      left_sum += sum;
+      left_sq += sq;
+      prev_rank = rank;
+    };
     if (values.size() <= n) {
       // Few distinct values: one pass into per-rank buckets.
       std::uint32_t lo = std::numeric_limits<std::uint32_t>::max(), hi = 0;
@@ -207,13 +177,13 @@ std::size_t DecisionTree::build(const RankTable& table, Scratch& s,
         const std::uint32_t r = ranks[slots[k]];
         ++s.count[r];
         s.sum[r] += s.y[k];
-        s.sq[r] += s.y[k] * s.y[k];
+        s.sq[r] += s.y2[k];
         lo = std::min(lo, r);
         hi = std::max(hi, r);
       }
       for (std::uint32_t r = lo; r <= hi; ++r) {
         if (s.count[r] == 0) continue;
-        if (lo != hi) scan.add(r, s.count[r], s.sum[r], s.sq[r]);
+        if (lo != hi) add_group(r, s.count[r], s.sum[r], s.sq[r]);
         s.count[r] = 0;
         s.sum[r] = 0.0;
         s.sq[r] = 0.0;
@@ -236,12 +206,12 @@ std::size_t DecisionTree::build(const RankTable& table, Scratch& s,
       std::size_t count = 0;
       double sum = 0.0, sq = 0.0;
       for (; j < n && static_cast<std::uint32_t>(s.keys[j] >> 32) == r; ++j) {
-        const double y = s.y[s.keys[j] & 0xffffffffu];
+        const std::size_t k = s.keys[j] & 0xffffffffu;
         ++count;
-        sum += y;
-        sq += y * y;
+        sum += s.y[k];
+        sq += s.y2[k];
       }
-      scan.add(r, count, sum, sq);
+      add_group(r, count, sum, sq);
     }
   }
   if (best.feature == Node::kLeaf) return node_id;  // no valid split found

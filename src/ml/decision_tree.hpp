@@ -39,9 +39,12 @@ struct TreeConfig {
 
 /// A Dataset's columns as ranks: for every column its sorted distinct
 /// values, and for every storage slot the rank of its value among them.
+/// Keeps a pointer to `data`, which must outlive the table and stay
+/// unchanged while trees are fitted from it.
 class RankTable {
  public:
   explicit RankTable(const Dataset& data);
+  RankTable(Dataset&&) = delete;
 
   const Dataset& data() const { return *data_; }
   /// Rank of each slot's value of feature f, in slot order.
@@ -68,10 +71,6 @@ class DecisionTree {
   /// Fits the tree to the samples at logical `sample_indices` of the
   /// table's dataset (the forest passes a bootstrap sample).
   void fit(const RankTable& table, std::span<const std::size_t> sample_indices,
-           const TreeConfig& config, util::Rng& rng);
-
-  /// Builds the rank table for a single fit.
-  void fit(const Dataset& data, std::span<const std::size_t> sample_indices,
            const TreeConfig& config, util::Rng& rng);
 
   /// Convenience overload over the full dataset.

@@ -32,7 +32,9 @@ class RandomForest {
  public:
   explicit RandomForest(ForestConfig config = {}) : config_(config) {}
 
-  /// Fits all trees on bootstrap samples of `data`.
+  /// Fits all trees on bootstrap samples of `data`, one after another on
+  /// this thread, sharing one RankTable. Draws from `rng` per tree: the
+  /// bootstrap indices, then each split node's feature subset depth-first.
   void fit(const Dataset& data, util::Rng& rng);
 
   /// Mean prediction across trees.

@@ -161,6 +161,38 @@ TEST(DecisionTree, RespectsMaxDepth) {
   EXPECT_LE(tree.depth(), 4u);  // depth counts nodes; root at depth 1
 }
 
+// The split search takes a column with few distinct values through a
+// bucketing pass and one with many through a sort; both must give the
+// same bits. Column 1 equals column 0 on the fitted rows, but unfitted
+// rows give it more distinct values than the root has samples, so at the
+// root column 0 is bucketed and column 1 sorted. With equal bits every
+// tie goes to column 0, the first examined, and the tree ignores x1.
+TEST(DecisionTree, BucketAndSortPathsGiveTheSameBits) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed);
+    Dataset d(2);
+    std::vector<std::size_t> fitted;
+    for (std::size_t i = 0; i < 40; ++i) {
+      const double x = std::floor(6.0 * rng.uniform()) / 6.0;
+      d.add({x, x}, rng.uniform());
+      fitted.push_back(i);
+    }
+    for (int i = 0; i < 60; ++i) d.add({0.0, 10.0 + i}, 0.0);
+    TreeConfig config;
+    config.min_samples_leaf = 1;
+    DecisionTree tree;
+    tree.fit(RankTable(d), fitted, config, rng);
+    for (int v = 0; v < 6; ++v) {
+      const double x0 = v / 6.0;
+      const double want = tree.predict(std::vector<double>{x0, x0});
+      for (double x1 : {-1.0, 0.5, 2.0}) {
+        EXPECT_EQ(tree.predict(std::vector<double>{x0, x1}), want);
+      }
+    }
+  }
+}
+
 TEST(DecisionTree, PredictBeforeFitThrows) {
   DecisionTree tree;
   EXPECT_THROW(tree.predict(std::vector<double>{1.0}), std::logic_error);
