@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
-#include <future>
 #include <memory>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
-#include "api/executor.hpp"
 #include "api/snapshot.hpp"
 // The documented exception to the layer DAG (docs/architecture.md): the
 // sharding coordinator lives in api/ but acts as a serve/ protocol client.
@@ -95,27 +93,10 @@ void run_shard(const ShardedExecutorConfig& config,
                const std::vector<RunRequest>& requests,
                std::vector<RunReport>& reports, SharedState& shared,
                RunControl* control) {
-  // Per-endpoint dispatch/requeue tallies; resolved once per shard thread
-  // so the loop below only touches atomics. Telemetry only.
-  util::Counter* placed = nullptr;
-  util::Counter* requeued = nullptr;
-  if (config.metrics != nullptr) {
-    placed = &config.metrics->counter(
-        "moela_shard_placed_total",
-        "Requests dispatched to each shard endpoint (retries included)",
-        {{"endpoint", endpoint.to_string()}});
-    requeued = &config.metrics->counter(
-        "moela_shard_requeued_total",
-        "Requests handed back to the pool after a shard failure",
-        {{"endpoint", endpoint.to_string()}});
-  }
-  util::Counter* resumed_total = nullptr;
-  if (config.metrics != nullptr && config.checkpoint) {
-    resumed_total = &config.metrics->counter(
-        "moela_shard_resumed_total",
-        "Requests completed from a mid-run snapshot after a shard failure",
-        {{"endpoint", endpoint.to_string()}});
-  }
+  // A resume needs a survivor to land on. A fleet of one has none, so it
+  // skips the snapshot stream: each cadence event would re-ship the whole
+  // replay journal for nothing.
+  const bool checkpoint = config.endpoints.size() > 1;
 
   serve::Client client;
   try {
@@ -128,7 +109,6 @@ void run_shard(const ShardedExecutorConfig& config,
     stats.failures += 1;
     stats.error = e.what();
     shared.owned_total -= shared.owned[shard].size();
-    if (requeued != nullptr) requeued->add(shared.owned[shard].size());
     for (const std::size_t i : shared.owned[shard]) {
       shared.pending.push_back(i);
     }
@@ -170,12 +150,11 @@ void run_shard(const ShardedExecutorConfig& config,
       }
     }
 
-    if (placed != nullptr) placed->add(chunk.size());
     std::vector<RunRequest> batch;
     batch.reserve(chunk.size());
     for (const std::size_t i : chunk) batch.push_back(requests[i]);
     std::size_t resuming = 0;
-    if (config.checkpoint) {
+    if (checkpoint) {
       // Attach the latest harvested snapshots (under the mutex: a peer's
       // handler may be storing new ones concurrently). A request seen
       // before resumes mid-run on this shard instead of starting over.
@@ -188,8 +167,8 @@ void run_shard(const ShardedExecutorConfig& config,
     }
 
     serve::Client::EventHandler handler;
-    if (control != nullptr || config.checkpoint) {
-      handler = [&config, &shared, &chunk, batch_size,
+    if (control != nullptr || checkpoint) {
+      handler = [&config, &shared, &chunk, batch_size, checkpoint,
                  control](const Json& event) {
         // A version-skewed daemon with a missing/garbled index: drop the
         // event rather than misattribute it to another request (the
@@ -206,7 +185,7 @@ void run_shard(const ShardedExecutorConfig& config,
           // keeps the previous one: never resume from garbage.
           util::MutexLock lock(shared.mutex);
           shared.started[chunk[local]] = 1;
-          if (config.checkpoint) {
+          if (checkpoint) {
             if (const Json* snap = event.find("snapshot")) {
               try {
                 shared.latest_snapshot[chunk[local]] =
@@ -278,9 +257,6 @@ void run_shard(const ShardedExecutorConfig& config,
       shared.inflight -= chunk.size();
       stats.completed += chunk.size();
       stats.resumed += resuming;
-      if (resumed_total != nullptr && resuming > 0) {
-        resumed_total->add(resuming);
-      }
       shared.work_cv.notify_all();
       continue;
     } catch (const serve::RemoteError& e) {
@@ -294,7 +270,6 @@ void run_shard(const ShardedExecutorConfig& config,
       util::MutexLock lock(shared.mutex);
       stats.failures += 1;
       stats.error = error;
-      std::uint64_t handed_back = 0;
       for (const std::size_t i : chunk) {
         shared.request_error[i] = error;
         if (chunk.size() > 1) {
@@ -308,7 +283,6 @@ void run_shard(const ShardedExecutorConfig& config,
           shared.solo[i] = 1;
           shared.started[i] = 0;
           shared.pending.push_back(i);
-          ++handed_back;
         } else if (transport && !shared.started[i]) {
           // The connection died before the daemon emitted a single event
           // for this request: it never started executing, so — like the
@@ -316,7 +290,6 @@ void run_shard(const ShardedExecutorConfig& config,
           // RemoteError always charges: the server answered, so the
           // request genuinely ran and failed.)
           shared.pending.push_back(i);
-          ++handed_back;
         } else if (++shared.attempts[i] >= config.max_attempts) {
           shared.failed[i] = 1;
         } else {
@@ -324,7 +297,6 @@ void run_shard(const ShardedExecutorConfig& config,
           // is charged (or not) on its own evidence.
           shared.started[i] = 0;
           shared.pending.push_back(i);
-          ++handed_back;
         }
       }
       if (transport) {
@@ -333,11 +305,9 @@ void run_shard(const ShardedExecutorConfig& config,
         // attempted, so those requests' attempt counts do not advance.
         std::deque<std::size_t>& own = shared.owned[shard];
         shared.owned_total -= own.size();
-        handed_back += own.size();
         for (const std::size_t i : own) shared.pending.push_back(i);
         own.clear();
       }
-      if (requeued != nullptr && handed_back > 0) requeued->add(handed_back);
       shared.inflight -= chunk.size();
       shared.work_cv.notify_all();
     }
@@ -562,49 +532,16 @@ std::vector<RunReport> ShardedExecutor::run_all(
   }
   if (undone.empty()) return reports;
 
-  if (config_.local_fallback) {
-    // Note: the fallback Executor tags its progress events with indices
-    // into the fallback sub-batch, not the merged batch.
-    std::vector<RunRequest> rest;
-    rest.reserve(undone.size());
-    for (const std::size_t i : undone) rest.push_back(requests[i]);
-    std::vector<std::future<RunReport>> futures;
-    {
-      Executor local({.jobs = config_.local_jobs, .cache = config_.cache});
-      futures = local.submit(std::move(rest), control);
-      // Wait (without consuming) and join the pool before get(): a
-      // rethrown exception shares state with the worker's task copy, and
-      // consuming it while the worker tears down its copy is a race.
-      for (auto& future : futures) future.wait();
-    }
-    // Collect per-future so one throwing fallback run (a request invalid
-    // locally too) cannot abandon the sibling fallback runs mid-drain;
-    // the aggregate throw below still names each failure.
-    std::vector<std::size_t> fallback_failed;
-    util::MutexLock lock(shared.mutex);
-    for (std::size_t k = 0; k < futures.size(); ++k) {
-      try {
-        reports[undone[k]] = futures[k].get();
-        shared.done[undone[k]] = 1;
-      } catch (const std::exception& e) {
-        shared.request_error[undone[k]] =
-            std::string("local fallback: ") + e.what();
-        fallback_failed.push_back(undone[k]);
-      }
-    }
-    if (fallback_failed.empty()) return reports;
-    undone = std::move(fallback_failed);
-  } else if (control != nullptr && control->stop_requested()) {
+  if (control != nullptr && control->stop_requested()) {
     for (const std::size_t i : undone) {
       reports[i] = cancelled_report(requests[i]);
     }
     return reports;
   }
 
-  // Not stopped, and any fallback has had its chance: the batch genuinely
-  // failed. Name the
-  // endpoints and the first few per-request errors so a fleet operator can
-  // tell which daemon to look at.
+  // Not stopped: the batch genuinely failed. Name the endpoints and the
+  // first few per-request errors so a fleet operator can tell which daemon
+  // to look at.
   std::string what = "sharded run: " + std::to_string(undone.size()) + " of " +
                      std::to_string(n) + " request(s) unserved";
   for (const ShardStats& shard : stats_) {

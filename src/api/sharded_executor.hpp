@@ -1,7 +1,8 @@
 // Sharded batch execution: the coordinator that fans one RunRequest batch
-// across several moela_serve daemons and merges the answers back into
-// request order. A drop-in sibling of api::Executor for workloads too big
-// for one machine:
+// across one or more moela_serve daemons and merges the answers back into
+// request order. A drop-in sibling of api::Executor for out-of-process
+// work, from a fleet of one daemon (every moela_cli --connect batch comes
+// through here) to workloads too big for one machine:
 //
 //   api::ShardedExecutorConfig config;
 //   config.endpoints = {{"10.0.0.1", 7313}, {"10.0.0.2", 7313}};
@@ -18,12 +19,12 @@
 //     is retired for the rest of the run and its outstanding requests are
 //     requeued onto the surviving shards; each request is attempted at
 //     most `max_attempts` times, so a poison request terminates instead of
-//     ping-ponging. With `checkpoint` (the default), requests stream
-//     RunSnapshots while they run, and a request requeued from a dead
-//     shard ships its latest snapshot to the survivor — the continuation
-//     replays to the same bit-identical report instead of starting over.
-//     With `local_fallback`, requests no shard could serve run on an
-//     in-process Executor instead of failing the batch.
+//     ping-ponging. A fleet of two or more endpoints checkpoints: requests
+//     stream RunSnapshots while they run, and a request requeued from a
+//     dead shard ships its latest snapshot to the survivor — the
+//     continuation replays to the same bit-identical report instead of
+//     starting over. A fleet of one has no survivor to resume on, so it
+//     skips the snapshot stream.
 //   * Observability — per-run `finished` events (and, with
 //     `stream_progress`, the daemons' snapshot-cadence progress events)
 //     are forwarded to the RunControl passed to run_all, index-tagged in
@@ -62,10 +63,8 @@
 
 #include "api/optimizer.hpp"
 #include "api/request.hpp"
-#include "api/result_cache.hpp"
 // moela-lint: allow(layer-order) coordinator-as-client exception, see docs/architecture.md
 #include "serve/sched/policy.hpp"
-#include "util/metrics.hpp"
 
 namespace moela::api {
 
@@ -90,7 +89,9 @@ struct ShardEndpoint {
 bool parse_shard_endpoint(const std::string& spec, ShardEndpoint& out);
 
 struct ShardedExecutorConfig {
-  /// The daemon fleet. At least one endpoint is required.
+  /// The daemon fleet. At least one endpoint is required; with two or
+  /// more, every dispatched request checkpoints (RunRequest::checkpoint)
+  /// so a dead shard's runs resume on a survivor.
   std::vector<ShardEndpoint> endpoints;
   ShardPolicy policy = ShardPolicy::kWorkStealing;
   /// Per-request cap on executions attempted across shards before the
@@ -113,22 +114,6 @@ struct ShardedExecutorConfig {
   /// partition. Disable to let connect failures surface through the
   /// requeue machinery instead.
   bool probe_health = true;
-  /// Checkpoint every dispatched request (RunRequest::checkpoint): the
-  /// daemons stream RunSnapshots at the snapshot cadence, the coordinator
-  /// keeps the latest per request, and a request requeued after a shard
-  /// death resumes from it on the next shard instead of re-running from
-  /// scratch. Reports stay bit-identical either way (resume is replay);
-  /// this only changes how much work a failure wastes. Off: failures
-  /// re-run whole requests, as before PR 9.
-  bool checkpoint = true;
-  /// Run requests that no healthy shard could serve on an in-process
-  /// Executor instead of failing the batch.
-  bool local_fallback = false;
-  /// Worker threads of the local-fallback Executor (0 = all cores).
-  std::size_t local_jobs = 0;
-  /// Cache for local-fallback runs only — remote runs hit the daemons'
-  /// own caches (not owned; may be null).
-  ResultCache* cache = nullptr;
   /// Ask the daemons for snapshot-cadence progress events and forward
   /// them (finished events are always forwarded).
   bool stream_progress = false;
@@ -137,10 +122,6 @@ struct ShardedExecutorConfig {
   /// under one class everywhere. Scheduling only: reports stay
   /// bit-identical to inline execution whatever the class.
   serve::sched::Priority priority = serve::sched::Priority::kNormal;
-  /// Optional telemetry registry (not owned; must outlive run_all).
-  /// Requests dispatched to and requeued from each endpoint count into
-  /// per-endpoint moela_shard_placed_total / moela_shard_requeued_total.
-  util::MetricsRegistry* metrics = nullptr;
 };
 
 /// Per-shard outcome of the last run_all(), index-aligned with
@@ -173,9 +154,9 @@ class ShardedExecutor {
   /// Fans the batch across the fleet and blocks until every request has a
   /// report (or has exhausted its attempts). Reports are index-aligned
   /// with `requests`. Throws std::runtime_error when requests remain
-  /// unserved — with local_fallback off, or when a fallback run itself
-  /// fails (a request invalid locally too); the message names the failing
-  /// endpoints and requests. Not thread-safe: one run_all at a time.
+  /// unserved without a stop having been requested; the message names the
+  /// failing endpoints and requests. Not thread-safe: one run_all at a
+  /// time.
   std::vector<RunReport> run_all(const std::vector<RunRequest>& requests,
                                  RunControl* control = nullptr);
 

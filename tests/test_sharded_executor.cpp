@@ -1,17 +1,18 @@
 // Tests for api::ShardedExecutor (src/api/sharded_executor.*): real
 // in-process moela_serve daemons on ephemeral ports, driven through the
-// coordinator. The acceptance property is the ISSUE/ROADMAP one — a
-// fixed-seed sweep sharded across >= 2 daemons merges bit-identical to the
-// same sweep run inline, in request order, under both placement policies —
-// plus the fault paths (tests/fault_injection.hpp): a daemon SIGKILLed
-// mid-run whose partial work resumes on the survivor from its streamed
-// snapshot, a dead shard's slice retried onto the survivor, exhausted
-// attempt caps failing the batch with attributable errors, the local
-// fallback, and stop-before-run cancellation.
+// coordinator. The acceptance property — a fixed-seed sweep sent to one
+// daemon or sharded across several merges bit-identical to the same sweep
+// run inline, in request order, under every placement policy — plus the
+// rule that only fleets of two or more checkpoint, and the fault paths
+// (tests/fault_injection.hpp): a daemon SIGKILLed mid-run whose partial
+// work resumes on the survivor from its streamed snapshot, a dead shard's
+// slice retried onto the survivor, exhausted attempt caps failing the
+// batch with attributable errors, and stop-before-run cancellation.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -54,13 +55,16 @@ std::vector<RunRequest> sweep_requests() {
   return requests;
 }
 
-/// A cache-less daemon on 127.0.0.1:<ephemeral>.
-std::unique_ptr<serve::Server> make_server(std::size_t jobs = 1) {
+/// A cache-less daemon on 127.0.0.1:<ephemeral>, persisting RunSnapshots
+/// to `snapshot_dir` when one is given.
+std::unique_ptr<serve::Server> make_server(std::size_t jobs = 1,
+                                           std::string snapshot_dir = {}) {
   serve::ServeConfig config;
   config.host = "127.0.0.1";
   config.port = 0;
   config.jobs = jobs;
   config.use_cache = false;
+  config.snapshot_dir = std::move(snapshot_dir);
   auto server = std::make_unique<serve::Server>(std::move(config));
   server->start();
   return server;
@@ -95,7 +99,60 @@ std::vector<RunReport> inline_reports(const std::vector<RunRequest>& sweep) {
   return direct.run_all(sweep);
 }
 
+/// The daemon's count of RunSnapshots persisted to its snapshot_dir.
+std::uint64_t snapshots_written(const serve::Server& server) {
+  serve::Client client;
+  client.connect("127.0.0.1", server.port());
+  return client.health().find("snapshots_written")->as_u64();
+}
+
 // --- the acceptance property ---------------------------------------------
+
+TEST(ShardedExecutor, OneEndpointBitIdenticalToInline) {
+  // A fleet of one under the defaults (health probe, probed chunk size):
+  // moela_cli sends every single --connect batch this way.
+  const std::vector<RunRequest> sweep = sweep_requests();
+  const std::vector<RunReport> reference = inline_reports(sweep);
+
+  auto server = make_server(2);
+  ShardedExecutorConfig config;
+  config.endpoints = {{"127.0.0.1", server->port()}};
+  ShardedExecutor sharded(config);
+  const std::vector<RunReport> merged = sharded.run_all(sweep);
+
+  ASSERT_EQ(merged.size(), reference.size());
+  for (std::size_t i = 0; i < merged.size(); ++i) {
+    EXPECT_EQ(merged[i].provenance.seed, sweep[i].options.seed);
+    expect_equal_modulo_cache(reference[i], merged[i]);
+  }
+  ASSERT_EQ(sharded.shard_stats().size(), 1u);
+  EXPECT_TRUE(sharded.shard_stats()[0].healthy);
+  EXPECT_EQ(sharded.shard_stats()[0].completed, sweep.size());
+}
+
+TEST(ShardedExecutor, OnlyFleetsOfTwoOrMoreCheckpoint) {
+  // A resume needs a survivor to land on: one endpoint never asks its
+  // daemon to checkpoint, two always do. A daemon with a snapshot_dir
+  // counts every checkpoint it persists, which makes the rule visible.
+  const std::filesystem::path root =
+      std::filesystem::path(testing::TempDir()) / "moela-shard-checkpoint";
+  std::filesystem::remove_all(root);
+  auto a = make_server(1, (root / "a").string());
+  auto b = make_server(1, (root / "b").string());
+
+  ShardedExecutorConfig one;
+  one.endpoints = {{"127.0.0.1", a->port()}};
+  ShardedExecutor(one).run_all(sweep_requests());
+  EXPECT_EQ(snapshots_written(*a), 0u);
+
+  ShardedExecutorConfig two;
+  two.endpoints = {{"127.0.0.1", a->port()}, {"127.0.0.1", b->port()}};
+  two.policy = ShardPolicy::kRoundRobin;  // both daemons serve runs
+  ShardedExecutor(two).run_all(sweep_requests());
+  EXPECT_GT(snapshots_written(*a), 0u);
+  EXPECT_GT(snapshots_written(*b), 0u);
+  std::filesystem::remove_all(root);
+}
 
 TEST(ShardedExecutor, RoundRobinBitIdenticalToInline) {
   const std::vector<RunRequest> sweep = sweep_requests();
@@ -406,49 +463,6 @@ TEST(ShardedExecutor, AllShardsDownThrowsWithEndpoints) {
     EXPECT_NE(what.find("unserved"), std::string::npos) << what;
     EXPECT_NE(what.find(std::to_string(dead_a)), std::string::npos) << what;
     EXPECT_NE(what.find(std::to_string(dead_b)), std::string::npos) << what;
-  }
-}
-
-TEST(ShardedExecutor, AllShardsDownFallsBackLocally) {
-  const std::vector<RunRequest> sweep = {zdt1_request("nsga2", 1),
-                                         zdt1_request("moela", 2)};
-  const std::vector<RunReport> reference = inline_reports(sweep);
-
-  ShardedExecutorConfig config;
-  config.endpoints = {{"127.0.0.1", closed_port()}};
-  config.local_fallback = true;
-  config.local_jobs = 1;
-  ShardedExecutor sharded(config);
-  const std::vector<RunReport> merged = sharded.run_all(sweep);
-
-  ASSERT_EQ(merged.size(), sweep.size());
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    expect_equal_modulo_cache(reference[i], merged[i]);
-  }
-  EXPECT_FALSE(sharded.shard_stats()[0].healthy);
-}
-
-TEST(ShardedExecutor, FallbackPoisonFailsBatchNamingOnlyThePoison) {
-  // The fallback Executor drains every request even when one of them
-  // throws locally too; the aggregate error then names exactly the
-  // poison.
-  ShardedExecutorConfig config;
-  config.endpoints = {{"127.0.0.1", closed_port()}};
-  config.local_fallback = true;
-  config.local_jobs = 1;
-  RunRequest poison = zdt1_request("nsga2", 1);
-  poison.algorithm = "no-such-algorithm";
-  poison.label = "poison";
-  ShardedExecutor sharded(config);
-  try {
-    sharded.run_all({zdt1_request("nsga2", 2), poison});
-    FAIL() << "expected the locally-poison request to fail the batch";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("1 of 2 request(s) unserved"), std::string::npos)
-        << what;
-    EXPECT_NE(what.find("'poison'"), std::string::npos) << what;
-    EXPECT_NE(what.find("local fallback:"), std::string::npos) << what;
   }
 }
 

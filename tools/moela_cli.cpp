@@ -15,13 +15,13 @@
 // cancel verb, so remote work halts too instead of burning CPU to
 // completion.
 //
-// With --connect host:port the same sweep flags submit to a remote
-// moela_serve daemon instead of running in-process: requests travel as
-// line-delimited JSON (api/serde.hpp), reports come back bit-identical to
-// a local run, and the daemon's process-lifetime cache answers repeats.
-// Repeating --connect fans the batch across a daemon FLEET through
-// api::ShardedExecutor (--shard-policy picks the placement); merged
-// reports are still bit-identical to an inline run.
+// With --connect host:port the same sweep flags submit to moela_serve
+// daemons instead of running in-process, through api::ShardedExecutor
+// whatever the endpoint count (one daemon is a fleet of one; repeating
+// --connect fans the batch across several, --shard-policy picks the
+// placement): requests travel as line-delimited JSON (api/serde.hpp),
+// merged reports come back bit-identical to a local run, and each
+// daemon's process-lifetime cache answers repeats.
 //
 //   moela_cli --problem zdt1 --algorithm moela --evals 2000 --seed 1
 //   moela_cli --problem zdt1 --algo moela --algo nsga2 --replicates 3
@@ -63,7 +63,6 @@
 #include "api/run_log.hpp"
 #include "api/sharded_executor.hpp"
 #include "serve/client.hpp"
-#include "serve/protocol.hpp"
 #include "serve/sched/policy.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
@@ -87,11 +86,11 @@ struct CliOptions {
   std::string out_path;    // empty = stdout
   std::string trace_path;  // empty = no trace dump
   std::string run_log_path;  // empty = $MOELA_RUN_LOG (via the Executor)
-  /// moela_serve endpoints ("host:port", repeatable). One = plain remote
-  /// submission; several = a sharded batch via api::ShardedExecutor.
-  std::vector<std::string> connect;
+  /// moela_serve endpoints (--connect, repeatable); any count runs the
+  /// batch through api::ShardedExecutor.
+  std::vector<api::ShardEndpoint> connect;
   api::ShardPolicy shard_policy = api::ShardPolicy::kWorkStealing;
-  bool shard_policy_set = false;  // explicit --shard-policy forces sharding
+  bool shard_policy_set = false;  // only to reject it without --connect
   /// Scheduling class for daemon-side admission (--connect only; the
   /// in-process Executor has no queue to be fair about).
   serve::sched::Priority priority = serve::sched::Priority::kNormal;
@@ -299,7 +298,13 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
       cli.run_log_path = v;
     } else if (arg == "--connect") {
       if ((v = need_value(i, "--connect")) == nullptr) return std::nullopt;
-      cli.connect.push_back(v);
+      api::ShardEndpoint endpoint;
+      if (!api::parse_shard_endpoint(v, endpoint)) {
+        std::fprintf(stderr, "moela_cli: bad --connect '%s' (want host:port)\n",
+                     v);
+        return std::nullopt;
+      }
+      cli.connect.push_back(std::move(endpoint));
     } else if (arg == "--shard-policy") {
       if ((v = need_value(i, "--shard-policy")) == nullptr) {
         return std::nullopt;
@@ -406,23 +411,53 @@ int list_registry() {
 }
 
 /// --list --connect: the DAEMON's registry (which may have plugins this
-/// binary lacks), via the list_problems / list_algorithms verbs.
-int list_remote(serve::Client& client) {
-  std::printf("problems:\n");
-  for (const auto& name : client.list_problems()) {
-    std::printf("  %s\n", name.c_str());
-  }
-  std::printf("algorithms:\n");
-  const util::Json algorithms = client.list_algorithms();
-  for (const auto& entry : algorithms.as_array()) {
-    std::vector<std::string> knobs;
-    if (const util::Json* k = entry.find("knobs")) {
-      for (const auto& knob : k->as_array()) knobs.push_back(knob.as_string());
+/// binary lacks), via the list_problems / list_algorithms verbs. The fleet
+/// shares one registry by construction, so the first endpoint answers.
+int list_remote(const api::ShardEndpoint& endpoint) {
+  try {
+    serve::Client client;
+    client.connect(endpoint.host, endpoint.port);
+    std::printf("problems:\n");
+    for (const auto& name : client.list_problems()) {
+      std::printf("  %s\n", name.c_str());
     }
-    const util::Json* name = entry.find("name");
-    print_algorithm(name != nullptr ? name->as_string() : "?", knobs);
+    std::printf("algorithms:\n");
+    const util::Json algorithms = client.list_algorithms();
+    for (const auto& entry : algorithms.as_array()) {
+      std::vector<std::string> knobs;
+      if (const util::Json* k = entry.find("knobs")) {
+        for (const auto& knob : k->as_array()) {
+          knobs.push_back(knob.as_string());
+        }
+      }
+      const util::Json* name = entry.find("name");
+      print_algorithm(name != nullptr ? name->as_string() : "?", knobs);
+    }
+    return 0;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "moela_cli: %s\n", e.what());
+    return 1;
   }
-  return 0;
+}
+
+/// --shutdown: ask every --connect daemon to drain and exit. An
+/// unreachable daemon is reported and makes the exit non-zero, but does
+/// not stop the rest of the fleet from being drained.
+int drain_fleet(const std::vector<api::ShardEndpoint>& endpoints) {
+  int exit_code = 0;
+  for (const api::ShardEndpoint& endpoint : endpoints) {
+    try {
+      serve::Client client;
+      client.connect(endpoint.host, endpoint.port);
+      client.shutdown_server();
+      std::fprintf(stderr, "moela_cli: daemon at %s is draining\n",
+                   endpoint.to_string().c_str());
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "moela_cli: %s\n", e.what());
+      exit_code = 1;
+    }
+  }
+  return exit_code;
 }
 
 /// With --connect, execution settings live daemon-side; note the flags
@@ -511,8 +546,8 @@ struct ControlGuard {
 };
 
 /// The standard stderr progress printer, shared by the in-process and
-/// sharded paths (both notify through api::RunControl with batch-order
-/// indices; the single-daemon path prints from raw protocol events).
+/// --connect paths (both notify through api::RunControl with batch-order
+/// indices).
 void install_progress_printer(api::RunControl& control,
                               const std::vector<api::RunRequest>& requests,
                               bool stream_progress) {
@@ -623,19 +658,12 @@ int write_outputs(const CliOptions& cli,
 /// but do not stop the remaining endpoints from being scraped.
 int show_fleet_metrics(const CliOptions& cli) {
   int exit_code = 0;
-  for (const std::string& spec : cli.connect) {
-    std::string host;
-    int port = 0;
-    if (!serve::parse_host_port(spec, host, port)) {
-      std::fprintf(stderr, "moela_cli: bad --connect '%s' (want host:port)\n",
-                   spec.c_str());
-      return 2;
-    }
+  for (const api::ShardEndpoint& endpoint : cli.connect) {
     try {
       serve::Client client;
-      client.connect(host, port);
+      client.connect(endpoint.host, endpoint.port);
       util::Json snapshot = client.metrics();
-      snapshot.set("endpoint", host + ":" + std::to_string(port));
+      snapshot.set("endpoint", endpoint.to_string());
       std::printf("%s\n", snapshot.dump().c_str());
     } catch (const std::exception& e) {
       std::fprintf(stderr, "moela_cli: %s\n", e.what());
@@ -645,158 +673,19 @@ int show_fleet_metrics(const CliOptions& cli) {
   return exit_code;
 }
 
-/// The single --connect path: same flags, same outputs, but the batch
-/// executes in one moela_serve daemon (whose process-lifetime cache
-/// answers repeats) and the reports travel back as line-delimited JSON.
-int run_remote(const CliOptions& cli) {
-  std::string host;
-  int port = 0;
-  if (!serve::parse_host_port(cli.connect.front(), host, port)) {
-    std::fprintf(stderr, "moela_cli: bad --connect '%s' (want host:port)\n",
-                 cli.connect.front().c_str());
-    return 2;
-  }
-  try {
-    serve::Client client;
-    client.connect(host, port);
-    if (cli.list) return list_remote(client);
-    if (cli.problem.empty() || cli.algorithms.empty()) {
-      if (cli.remote_shutdown) {
-        client.shutdown_server();
-        std::fprintf(stderr, "moela_cli: daemon at %s:%d is draining\n",
-                     host.c_str(), port);
-        return 0;
-      }
-      std::fprintf(stderr, "moela_cli: --problem and --algorithm are "
-                           "required (or --shutdown / --list)\n");
-      return 2;
-    }
-    warn_daemon_side_flags(cli);
-    warn_unknown_knobs(cli);
-
-    const std::vector<api::RunRequest> requests = build_requests(cli);
-    std::fprintf(stderr,
-                 "moela_cli: submitting %zu run(s) to %s:%d (evals<=%zu, "
-                 "seconds<=%.1f)\n",
-                 requests.size(), host.c_str(), port,
-                 cli.run_options.max_evaluations,
-                 cli.run_options.max_seconds);
-
-    // Ctrl-C mid-sweep must not abandon remote work silently: the control
-    // rides into the Client, whose read loop sends the cancel verb for
-    // this batch — the daemon stops our runs, keeps serving everyone
-    // else, and the final response tells us what finished vs. what was
-    // cancelled.
-    api::RunControl control;
-    const ControlGuard guard(control);
-    std::signal(SIGINT, handle_sigint);
-
-    // Missing/mistyped fields from a version-skewed daemon must degrade
-    // the display, never crash the batch — hence the defaulted readers
-    // (util::*_field_or).
-    const bool stream_progress = cli.progress;
-    util::Timer wall;
-    const std::vector<api::RunReport> reports = client.run(
-        requests, stream_progress, [&](const util::Json& event) {
-          const util::Json* hit = event.find("cache_hit");
-          const std::string kind = util::string_field_or(event, "event");
-          if (kind == "finished") {
-            std::fprintf(
-                stderr,
-                "moela_cli: [%llu/%llu] %s done (%llu evals, %.2f s%s)\n",
-                static_cast<unsigned long long>(
-                    util::u64_field_or(event, "completed", 0)),
-                static_cast<unsigned long long>(
-                    util::u64_field_or(event, "total", 0)),
-                util::string_field_or(event, "label", "?").c_str(),
-                static_cast<unsigned long long>(
-                    util::u64_field_or(event, "evaluations", 0)),
-                util::double_field_or(event, "seconds", 0.0),
-                hit != nullptr && hit->is_bool() && hit->as_bool()
-                    ? ", cached"
-                    : "");
-          } else if (kind == "progress" && stream_progress) {
-            std::fprintf(
-                stderr,
-                "moela_cli: [run %llu] %s at %llu/%llu evals (%.2f s)\n",
-                static_cast<unsigned long long>(
-                    util::u64_field_or(event, "index", 0) + 1),
-                util::string_field_or(event, "algorithm", "?").c_str(),
-                static_cast<unsigned long long>(
-                    util::u64_field_or(event, "evaluations", 0)),
-                static_cast<unsigned long long>(
-                    util::u64_field_or(event, "max_evaluations", 0)),
-                util::double_field_or(event, "seconds", 0.0));
-          }
-        },
-        &control, cli.priority);
-    const double wall_seconds = wall.elapsed_seconds();
-    const int exit_code = write_outputs(cli, requests, reports, wall_seconds);
-    if (cli.remote_shutdown) {
-      client.shutdown_server();
-      std::fprintf(stderr, "moela_cli: daemon at %s:%d is draining\n",
-                   host.c_str(), port);
-    }
-    return exit_code;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "moela_cli: %s\n", e.what());
-    return 1;
-  }
-}
-
-/// The multi --connect path: the batch is fanned across a moela_serve
-/// fleet by api::ShardedExecutor and the reports merged back into request
-/// order — bit-identical to an inline or single-daemon run.
+/// The --connect path, for one endpoint or many: api::ShardedExecutor
+/// fans the batch across the fleet and merges the reports back into
+/// request order — bit-identical to an inline run.
 int run_sharded(const CliOptions& cli) {
   api::ShardedExecutorConfig config;
-  for (const std::string& spec : cli.connect) {
-    api::ShardEndpoint endpoint;
-    if (!api::parse_shard_endpoint(spec, endpoint)) {
-      std::fprintf(stderr, "moela_cli: bad --connect '%s' (want host:port)\n",
-                   spec.c_str());
-      return 2;
-    }
-    config.endpoints.push_back(std::move(endpoint));
-  }
+  config.endpoints = cli.connect;
   config.policy = cli.shard_policy;
   config.stream_progress = cli.progress;
   config.priority = cli.priority;
-
-  auto drain_all = [&config]() {
-    for (const api::ShardEndpoint& endpoint : config.endpoints) {
-      try {
-        serve::Client client;
-        client.connect(endpoint.host, endpoint.port);
-        client.shutdown_server();
-        std::fprintf(stderr, "moela_cli: daemon at %s is draining\n",
-                     endpoint.to_string().c_str());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "moela_cli: %s\n", e.what());
-      }
-    }
-  };
+  warn_daemon_side_flags(cli);
+  warn_unknown_knobs(cli);
 
   try {
-    if (cli.list) {
-      // The fleet shares one registry by construction; ask the first
-      // daemon.
-      serve::Client client;
-      client.connect(config.endpoints.front().host,
-                     config.endpoints.front().port);
-      return list_remote(client);
-    }
-    if (cli.problem.empty() || cli.algorithms.empty()) {
-      if (cli.remote_shutdown) {
-        drain_all();
-        return 0;
-      }
-      std::fprintf(stderr, "moela_cli: --problem and --algorithm are "
-                           "required (or --shutdown / --list)\n");
-      return 2;
-    }
-    warn_daemon_side_flags(cli);
-    warn_unknown_knobs(cli);
-
     const std::vector<api::RunRequest> requests = build_requests(cli);
     std::fprintf(stderr,
                  "moela_cli: sharding %zu run(s) across %zu daemon(s) "
@@ -806,7 +695,7 @@ int run_sharded(const CliOptions& cli) {
                  cli.run_options.max_evaluations,
                  cli.run_options.max_seconds);
 
-    api::ShardedExecutor sharded(config);
+    api::ShardedExecutor sharded(std::move(config));
     api::RunControl control;
     const ControlGuard guard(control);
     std::signal(SIGINT, handle_sigint);
@@ -832,8 +721,9 @@ int run_sharded(const CliOptions& cli) {
     }
 
     const int exit_code = write_outputs(cli, requests, reports, wall_seconds);
-    if (cli.remote_shutdown) drain_all();
-    return exit_code;
+    if (!cli.remote_shutdown) return exit_code;
+    const int drained = drain_fleet(cli.connect);
+    return exit_code != 0 ? exit_code : drained;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "moela_cli: %s\n", e.what());
     return 1;
@@ -874,20 +764,25 @@ int main(int argc, char** argv) {
                          "in-process batch has no admission queue)\n");
     return 2;
   }
-  if (!cli.connect.empty()) {
-    // One endpoint stays on the plain remote path; several (or an explicit
-    // --shard-policy) go through the sharding coordinator.
-    return cli.connect.size() == 1 && !cli.shard_policy_set
-               ? run_remote(cli)
-               : run_sharded(cli);
+  if (cli.list) {
+    return cli.connect.empty() ? list_registry()
+                               : list_remote(cli.connect.front());
   }
-  if (cli.list) return list_registry();
   if (cli.problem.empty() || cli.algorithms.empty()) {
+    if (cli.remote_shutdown) return drain_fleet(cli.connect);
     std::fprintf(stderr, "moela_cli: --problem and --algorithm are "
                          "required\n\n");
     print_usage(stderr);
     return 2;
   }
+  if (cli.apps.size() > 1 && cli.problem != "noc") {
+    std::fprintf(stderr,
+                 "moela_cli: multiple --app values only apply to the noc "
+                 "problem\n");
+    return 2;
+  }
+  if (!cli.connect.empty()) return run_sharded(cli);
+  // Local only: a daemon may register plugins this binary lacks.
   for (const auto& algorithm : cli.algorithms) {
     if (!api::registry().contains(algorithm)) {
       std::fprintf(stderr,
@@ -895,12 +790,6 @@ int main(int argc, char** argv) {
                    algorithm.c_str());
       return 2;
     }
-  }
-  if (!cli.apps.empty() && cli.apps.size() > 1 && cli.problem != "noc") {
-    std::fprintf(stderr,
-                 "moela_cli: multiple --app values only apply to the noc "
-                 "problem\n");
-    return 2;
   }
   warn_unknown_knobs(cli);
 
