@@ -86,17 +86,20 @@ void pull_from(SharedState& shared, std::deque<std::size_t>& queue,
 /// `reports` by original index. On a transport failure the shard requeues
 /// its chunk and retires; on a server error answer it requeues and keeps
 /// serving (the connection survived).
+///
+/// `fleet` is true when more than one shard passed placement. Only then
+/// does the shard checkpoint (a resume needs a survivor to land on; alone,
+/// each cadence event would re-ship the whole replay journal for nothing)
+/// and retry a request its daemon rejected (alone, the retry would go to
+/// the same daemon and fail the same way).
 void run_shard(const ShardedExecutorConfig& config,
                const ShardEndpoint& endpoint, ShardStats& stats,
                std::size_t shard, std::size_t chunk_size,
-               std::size_t batch_size,
+               std::size_t batch_size, bool fleet,
                const std::vector<RunRequest>& requests,
                std::vector<RunReport>& reports, SharedState& shared,
                RunControl* control) {
-  // A resume needs a survivor to land on. A fleet of one has none, so it
-  // skips the snapshot stream: each cadence event would re-ship the whole
-  // replay journal for nothing.
-  const bool checkpoint = config.endpoints.size() > 1;
+  const bool checkpoint = fleet;
 
   serve::Client client;
   try {
@@ -290,7 +293,10 @@ void run_shard(const ShardedExecutorConfig& config,
           // RemoteError always charges: the server answered, so the
           // request genuinely ran and failed.)
           shared.pending.push_back(i);
-        } else if (++shared.attempts[i] >= config.max_attempts) {
+        } else if (++shared.attempts[i] >= config.max_attempts ||
+                   (!transport && !fleet)) {
+          // Cap exhausted, or a lone shard's daemon rejected the request:
+          // with no peer, a retry would meet the same daemon again.
           shared.failed[i] = 1;
         } else {
           // Reset the started mark so the NEXT shard's transport failure
@@ -500,21 +506,24 @@ std::vector<RunReport> ShardedExecutor::run_all(
       }
     }
 
+    const bool fleet = healthy.size() > 1;
     std::vector<std::thread> workers;
     workers.reserve(healthy.size());
     for (const std::size_t s : healthy) {
-      // Wire-batch size: an explicit steal_chunk wins; otherwise size each
-      // shard's chunk to the daemon's probed worker count, so a chunk
-      // saturates the daemon's Executor pool instead of serializing it
-      // one run at a time.
-      const std::size_t chunk_size =
-          config_.steal_chunk > 0
-              ? config_.steal_chunk
-              : std::max<std::size_t>(std::size_t{1}, probed_jobs[s]);
-      workers.emplace_back([this, s, chunk_size, n, &requests, &reports,
-                            &shared, control] {
+      // Wire-batch size: an explicit steal_chunk wins. A lone shard has no
+      // peer to steal from, so it sends the whole batch at once and the
+      // daemon's pool schedules it end to end. In a fleet each chunk is
+      // the daemon's probed worker count, enough to saturate its pool
+      // while leaving the rest stealable.
+      std::size_t chunk_size = config_.steal_chunk;
+      if (chunk_size == 0) {
+        chunk_size =
+            fleet ? std::max<std::size_t>(std::size_t{1}, probed_jobs[s]) : n;
+      }
+      workers.emplace_back([this, s, chunk_size, n, fleet, &requests,
+                            &reports, &shared, control] {
         run_shard(config_, config_.endpoints[s], stats_[s], s, chunk_size,
-                  n, requests, reports, shared, control);
+                  n, fleet, requests, reports, shared, control);
       });
     }
     for (auto& worker : workers) worker.join();

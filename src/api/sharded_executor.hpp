@@ -19,12 +19,18 @@
 //     is retired for the rest of the run and its outstanding requests are
 //     requeued onto the surviving shards; each request is attempted at
 //     most `max_attempts` times, so a poison request terminates instead of
-//     ping-ponging. A fleet of two or more endpoints checkpoints: requests
-//     stream RunSnapshots while they run, and a request requeued from a
-//     dead shard ships its latest snapshot to the survivor — the
+//     ping-ponging. A fleet of two or more healthy shards checkpoints:
+//     requests stream RunSnapshots while they run, and a request requeued
+//     from a dead shard ships its latest snapshot to the survivor — the
 //     continuation replays to the same bit-identical report instead of
-//     starting over. A fleet of one has no survivor to resume on, so it
-//     skips the snapshot stream.
+//     starting over.
+//   * Fleet of one — with one healthy shard after the probe, the
+//     coordinator acts as a plain client of that daemon: the whole batch
+//     travels as one wire batch (unless steal_chunk says otherwise),
+//     nothing checkpoints (there is no survivor to resume on), and a
+//     request the daemon rejects fails on its first attempt. If the
+//     rejected wire batch held several requests, each is first re-sent
+//     alone, one after another, so the error names the culprit.
 //   * Observability — per-run `finished` events (and, with
 //     `stream_progress`, the daemons' snapshot-cadence progress events)
 //     are forwarded to the RunControl passed to run_all, index-tagged in
@@ -89,9 +95,9 @@ struct ShardEndpoint {
 bool parse_shard_endpoint(const std::string& spec, ShardEndpoint& out);
 
 struct ShardedExecutorConfig {
-  /// The daemon fleet. At least one endpoint is required; with two or
-  /// more, every dispatched request checkpoints (RunRequest::checkpoint)
-  /// so a dead shard's runs resume on a survivor.
+  /// The daemon fleet. At least one endpoint is required; when two or
+  /// more pass the health probe, every dispatched request checkpoints
+  /// (RunRequest::checkpoint) so a dead shard's runs resume on a survivor.
   std::vector<ShardEndpoint> endpoints;
   ShardPolicy policy = ShardPolicy::kWorkStealing;
   /// Per-request cap on executions attempted across shards before the
@@ -99,15 +105,18 @@ struct ShardedExecutorConfig {
   /// charged: a failed multi-request chunk is requeued with its members
   /// forced to retry one at a time (the failure cannot be attributed to
   /// any one member), and transport failures that requeue never-started
-  /// requests do not count either.
+  /// requests do not count either. A fleet of one does not retry a
+  /// request its daemon rejected: the cap is 1 there.
   std::size_t max_attempts = 3;
   /// Requests submitted per wire batch (both policies pull this many at a
-  /// time). 0 (the default) sizes each shard's chunk to the daemon's
+  /// time). 0 (the default) sends a fleet of one the whole batch at once;
+  /// in a larger fleet it sizes each shard's chunk to the daemon's
   /// health-probed worker count, so one chunk saturates the daemon's
-  /// Executor pool; an explicit value >= 1 fixes it (a failed chunk is
-  /// retried whole, so smaller = finer retry granularity). Auto sizing
-  /// needs the probe: with probe_health off (or a daemon predating the
-  /// health verb) it degrades to 1 — set an explicit value there.
+  /// Executor pool. An explicit value >= 1 fixes it (a failed chunk is
+  /// retried member by member, so smaller = finer retry granularity).
+  /// Fleet auto sizing needs the probe: with probe_health off (or a daemon
+  /// predating the health verb) it degrades to 1 — set an explicit value
+  /// there.
   std::size_t steal_chunk = 0;
   /// Probe each endpoint's `health` verb before placement and leave
   /// endpoints that do not answer (or are draining) out of the initial

@@ -8,12 +8,15 @@ Starts two cache-less daemons on ephemeral ports and checks that:
   * one sweep run inline, against one daemon (--connect A) and against
     both (--connect A --connect B) prints identical front rows (the '#'
     provenance comments carry wall time and cache flags, so they are
-    ignored);
+    ignored), and the one-daemon sweep travels as a single run verb;
+  * a run the daemon rejects fails the invocation with exit 1 after one
+    attempt (one daemon: no retry);
   * CLI-side validation does not depend on --connect: several --app
     values on a non-noc problem exit 2 with a remote target too;
   * one --shutdown drains every --connect daemon, and each exits 0.
 """
 
+import json
 import os
 import re
 import subprocess
@@ -54,6 +57,14 @@ def run_cli(cli, args):
                           timeout=60, check=False)
 
 
+def run_verbs(cli, endpoint):
+    result = run_cli(cli, ["--connect", endpoint, "--metrics"])
+    check(result.returncode == 0, result.stderr)
+    series = json.loads(result.stdout)["metrics"]["moela_requests_total"]
+    return sum(int(s["value"]) for s in series["series"]
+               if s["labels"]["verb"] == "run")
+
+
 def front_rows(cli, args):
     result = run_cli(cli, args)
     check(result.returncode == 0, f"moela_cli {' '.join(args)} exited "
@@ -79,6 +90,8 @@ def main():
 
             inline = front_rows(cli, SWEEP + ["--no-cache"])
             one = front_rows(cli, ["--connect", a] + SWEEP)
+            verbs = run_verbs(cli, a)
+            check(verbs == 1, f"one-daemon sweep took {verbs} run verbs")
             two = front_rows(cli, ["--connect", a, "--connect", b] + SWEEP)
             check(one == inline, "one-daemon rows differ from inline")
             check(two == inline, "two-daemon rows differ from inline")
@@ -90,6 +103,14 @@ def main():
                   f"remote multi --app exited {multi_app.returncode}, want 2")
             check("only apply to the noc problem" in multi_app.stderr,
                   multi_app.stderr)
+
+            rejected = run_cli(cli, ["--connect", a, "--problem", "zdt1",
+                                     "--algo", "no-such-algorithm",
+                                     "--evals", "200"])
+            check(rejected.returncode == 1,
+                  f"rejected remote run exited {rejected.returncode}, "
+                  f"want 1:\n{rejected.stderr}")
+            check("after 1 attempt(s)" in rejected.stderr, rejected.stderr)
 
             shutdown = run_cli(cli, ["--connect", a, "--connect", b,
                                      "--shutdown"])

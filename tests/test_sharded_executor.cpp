@@ -106,11 +106,29 @@ std::uint64_t snapshots_written(const serve::Server& server) {
   return client.health().find("snapshots_written")->as_u64();
 }
 
+/// The daemon's count of `run` verbs answered: one per wire batch.
+std::uint64_t run_verbs(const serve::Server& server) {
+  serve::Client client;
+  client.connect("127.0.0.1", server.port());
+  const util::Json metrics = client.metrics();
+  std::uint64_t total = 0;
+  for (const util::Json& series : metrics.find("metrics")
+                                      ->find("moela_requests_total")
+                                      ->find("series")
+                                      ->as_array()) {
+    if (series.find("labels")->find("verb")->as_string() == "run") {
+      total += series.find("value")->as_u64();
+    }
+  }
+  return total;
+}
+
 // --- the acceptance property ---------------------------------------------
 
 TEST(ShardedExecutor, OneEndpointBitIdenticalToInline) {
-  // A fleet of one under the defaults (health probe, probed chunk size):
-  // moela_cli sends every single --connect batch this way.
+  // A fleet of one under the defaults: moela_cli sends every single
+  // --connect batch this way. Nothing to steal, so the whole sweep is one
+  // wire batch even though the daemon has fewer workers than requests.
   const std::vector<RunRequest> sweep = sweep_requests();
   const std::vector<RunReport> reference = inline_reports(sweep);
 
@@ -128,12 +146,14 @@ TEST(ShardedExecutor, OneEndpointBitIdenticalToInline) {
   ASSERT_EQ(sharded.shard_stats().size(), 1u);
   EXPECT_TRUE(sharded.shard_stats()[0].healthy);
   EXPECT_EQ(sharded.shard_stats()[0].completed, sweep.size());
+  EXPECT_EQ(run_verbs(*server), 1u);
 }
 
 TEST(ShardedExecutor, OnlyFleetsOfTwoOrMoreCheckpoint) {
-  // A resume needs a survivor to land on: one endpoint never asks its
-  // daemon to checkpoint, two always do. A daemon with a snapshot_dir
-  // counts every checkpoint it persists, which makes the rule visible.
+  // A resume needs a survivor to land on: a fleet of one healthy shard
+  // never asks its daemon to checkpoint, two healthy shards always do. A
+  // daemon with a snapshot_dir counts every checkpoint it persists, which
+  // makes the rule visible.
   const std::filesystem::path root =
       std::filesystem::path(testing::TempDir()) / "moela-shard-checkpoint";
   std::filesystem::remove_all(root);
@@ -143,6 +163,13 @@ TEST(ShardedExecutor, OnlyFleetsOfTwoOrMoreCheckpoint) {
   ShardedExecutorConfig one;
   one.endpoints = {{"127.0.0.1", a->port()}};
   ShardedExecutor(one).run_all(sweep_requests());
+  EXPECT_EQ(snapshots_written(*a), 0u);
+
+  // Two configured, one dead at the probe: still a fleet of one.
+  ShardedExecutorConfig one_alive;
+  one_alive.endpoints = {{"127.0.0.1", a->port()},
+                         {"127.0.0.1", closed_port()}};
+  ShardedExecutor(one_alive).run_all(sweep_requests());
   EXPECT_EQ(snapshots_written(*a), 0u);
 
   ShardedExecutorConfig two;
@@ -493,6 +520,33 @@ TEST(ShardedExecutor, PoisonChunkMatesRetrySoloAndComplete) {
         << what;
     EXPECT_NE(what.find("poison"), std::string::npos) << what;
   }
+}
+
+TEST(ShardedExecutor, LoneShardDoesNotRetryARejectedRequest) {
+  // One daemon rejects the poison; retrying it there would only fail the
+  // same way, so it fails on its first attempt whatever max_attempts says.
+  // Wire batches: the whole sweep (rejected), then each request alone so
+  // the error names the culprit.
+  auto server = make_server(2);
+  ShardedExecutorConfig config;
+  config.endpoints = {{"127.0.0.1", server->port()}};
+  config.max_attempts = 3;
+
+  RunRequest poison = zdt1_request("nsga2", 1);
+  poison.algorithm = "no-such-algorithm";
+  poison.label = "poison";
+  ShardedExecutor sharded(config);
+  try {
+    sharded.run_all({zdt1_request("nsga2", 1), poison});
+    FAIL() << "expected the poison request to fail the batch";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("1 of 2 request(s) unserved"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("'poison' after 1 attempt(s)"), std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(run_verbs(*server), 3u);
 }
 
 TEST(ShardedExecutor, PoisonRequestExhaustsItsAttemptCap) {
