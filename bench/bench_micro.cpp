@@ -15,6 +15,7 @@
 #include "api/any_problem.hpp"
 #include "api/executor.hpp"
 #include "api/request.hpp"
+#include "baselines/archive_search.hpp"
 #include "core/eval_model.hpp"
 #include "ml/random_forest.hpp"
 #include "moo/hypervolume.hpp"
@@ -24,6 +25,7 @@
 #include "noc/objectives.hpp"
 #include "noc/problem.hpp"
 #include "noc/routing.hpp"
+#include "problems/dtlz.hpp"
 #include "sim/rodinia.hpp"
 #include "util/rng.hpp"
 
@@ -70,6 +72,19 @@ void BM_HypervolumeByFrontSize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HypervolumeByFrontSize)->Arg(25)->Arg(50)->Arg(100)->Arg(200);
+
+// The per-candidate PHV call of MOOS / MOO-STAGE: one archive-PHV gain of a
+// non-dominated candidate against a 50-point, 5-objective archive.
+void BM_PhvGain(benchmark::State& state) {
+  baselines::DesignArchive<problems::Dtlz2> archive(50);
+  for (auto& p : random_front(50, 5, 13)) archive.insert({}, std::move(p));
+  const auto candidate = random_front(1, 5, 17).front();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(archive.phv_gain(candidate));
+  }
+  state.counters["archive"] = static_cast<double>(archive.size());
+}
+BENCHMARK(BM_PhvGain);
 
 // The Eq. (8) scalarization MOELA uses instead — constant in M for
 // practical purposes.

@@ -11,6 +11,7 @@
 // Environment knobs: MOELA_BENCH_EVALS, MOELA_BENCH_SMALL, MOELA_BENCH_SEED.
 #include <cstdio>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "exp/scenario.hpp"
@@ -35,20 +36,19 @@ int main() {
   }
   const auto results = exp::run_app_scenarios(grid, config);
 
-  // rows[app][competitor(0=MOEA/D,1=MOOS)][scenario] = speedup
-  std::vector<std::vector<std::vector<double>>> cells(
-      apps.size(),
-      std::vector<std::vector<double>>(2, std::vector<double>(3, 0.0)));
+  // rows[app][competitor(0=MOEA/D,1=MOOS)][scenario] = speedup, or empty
+  // when MOELA never matched the competitor's converged PHV in the budget.
+  std::vector<std::vector<std::vector<std::optional<double>>>> cells(
+      apps.size(), std::vector<std::vector<std::optional<double>>>(
+                       2, std::vector<std::optional<double>>(3)));
 
   for (std::size_t si = 0; si < scenarios.size(); ++si) {
     for (std::size_t ai = 0; ai < apps.size(); ++ai) {
       const auto& r = results[si * apps.size() + ai];
       // traces[0] = MOELA, [1] = MOEA/D, [2] = MOOS (config order).
       for (std::size_t comp = 0; comp < 2; ++comp) {
-        const auto s = moo::speedup_factor_time(r.traces[0], r.traces[comp + 1]);
-        // If MOELA never matches the competitor's converged PHV within the
-        // budget, report the conservative value 1.0 (no speedup observed).
-        cells[ai][comp][si] = s.value_or(1.0);
+        cells[ai][comp][si] =
+            moo::speedup_factor_time(r.traces[0], r.traces[comp + 1]);
       }
     }
   }
@@ -62,14 +62,25 @@ int main() {
     std::vector<std::string> row{sim::app_name(apps[ai])};
     for (std::size_t comp = 0; comp < 2; ++comp) {
       for (std::size_t si = 0; si < 3; ++si) {
-        row.push_back(util::fmt(cells[ai][comp][si], 2));
-        column_stats[comp * 3 + si].add(cells[ai][comp][si]);
+        const auto& cell = cells[ai][comp][si];
+        if (!cell) {
+          row.push_back("not reached");
+          continue;
+        }
+        row.push_back(util::fmt(*cell, 2));
+        column_stats[comp * 3 + si].add(*cell);
       }
     }
     table.add_row(std::move(row));
   }
-  std::vector<std::string> avg{"Average"};
-  for (const auto& s : column_stats) avg.push_back(util::fmt(s.mean(), 2));
+  // Averages over the reached cells only, with how many of them there are.
+  std::vector<std::string> avg{"Average (reached)"};
+  for (const auto& s : column_stats) {
+    avg.push_back(s.count() == 0 ? "-"
+                                 : util::fmt(s.mean(), 2) + " (" +
+                                       std::to_string(s.count()) + "/" +
+                                       std::to_string(apps.size()) + ")");
+  }
   table.add_row(std::move(avg));
   table.print();
 

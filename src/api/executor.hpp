@@ -63,7 +63,7 @@ struct ExecutorConfig {
   /// and a request that asks to checkpoint resumes from its snapshot file
   /// automatically when one exists. A completed (non-cancelled) run deletes
   /// its file: the snapshot's job is done.
-  std::string snapshot_dir;
+  std::string snapshot_dir{};
   /// When false, no worker pool is spawned and submit()/run_all() refuse:
   /// the owner drives execute_one() from its own worker threads instead
   /// (serve::sched::Scheduler does this, so queue policy lives in one

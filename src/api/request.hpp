@@ -26,8 +26,10 @@ namespace moela::api {
 /// (or, worse, aliased). History: v1 = initial schema; v2 = report schema
 /// gained the JSON wire form; v3 = rank-bucket forest trainer (split ties
 /// now break by a different summation order, so seeded moela and moo-stage
-/// runs that train the Eval model changed).
-inline constexpr unsigned kCacheSchemaVersion = 3;
+/// runs that train the Eval model changed); v4 = flat-storage hypervolume
+/// engine (PHV gains and reported PHVs change in their last bits, so
+/// seeded moo-stage runs, which learn from those gains, changed).
+inline constexpr unsigned kCacheSchemaVersion = 4;
 
 /// One schedulable run: which problem, which algorithm, which budgets.
 /// A plain value — copying is cheap (the bound problem, if any, is shared).

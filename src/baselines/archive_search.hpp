@@ -62,31 +62,20 @@ class DesignArchive {
     return out;
   }
 
-  /// Normalized PHV of the archive content using its own ideal/nadir — the
-  /// anytime quality signal MOOS/MOO-STAGE greedily climb.
-  double normalized_phv() const {
-    if (entries_.empty()) return 0.0;
-    const auto points = objective_set();
-    const auto ideal = moo::ideal_point(points);
-    const auto nadir = moo::nadir_point(points);
-    return moo::normalized_hypervolume(points, ideal, nadir);
-  }
-
-  /// PHV gain of hypothetically adding `obj` (without inserting). This is
-  /// the per-step cost center of the PHV-driven searches.
+  /// PHV gain of hypothetically adding `obj` (without inserting): its
+  /// exclusive hypervolume against the archive, all normalized with the
+  /// ideal/nadir of archive + candidate. This is the per-step cost center of
+  /// the PHV-driven searches.
   double phv_gain(const moo::ObjectiveVector& obj) const {
     if (entries_.empty()) return 1.0;
     auto points = objective_set();
     points.push_back(obj);
-    const auto ideal = moo::ideal_point(points);
-    const auto nadir = moo::nadir_point(points);
-    const double with_candidate =
-        moo::normalized_hypervolume(points, ideal, nadir);
-    std::vector<moo::ObjectiveVector> without(points.begin(),
-                                              points.end() - 1);
-    const double without_candidate =
-        moo::normalized_hypervolume(without, ideal, nadir);
-    return with_candidate - without_candidate;
+    auto normalized = moo::normalize(points, moo::ideal_point(points),
+                                     moo::nadir_point(points));
+    const moo::ObjectiveVector candidate = std::move(normalized.back());
+    normalized.pop_back();
+    return moo::hypervolume_contribution(
+        normalized, candidate, moo::ObjectiveVector(obj.size(), 1.1));
   }
 
  private:

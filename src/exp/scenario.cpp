@@ -76,7 +76,7 @@ PaperBenchConfig paper_bench_config_from_env() {
   config.snapshot_interval = 200;
   config.jobs = env_size_t("MOELA_BENCH_JOBS", 1);
   const char* cache = std::getenv("MOELA_BENCH_CACHE");
-  if (cache != nullptr && *cache != '\0') {
+  if (cache != nullptr && *cache != '\0' && std::string(cache) != "0") {
     config.cache_dir = std::string(cache) == "1"
                            ? api::ResultCache::default_disk_dir()
                            : cache;

@@ -16,7 +16,8 @@
 //                         runs share cores, so keep 1 when the wall-clock
 //                         budget is the contract)
 //   MOELA_BENCH_CACHE   — result-cache directory; "1" = the default dir
-//                         (api::ResultCache::default_disk_dir), unset = off
+//                         (api::ResultCache::default_disk_dir), unset or
+//                         "0" = off
 //   MOELA_BENCH_SHARDS  — comma-separated moela_serve endpoints
 //                         ("host:port,host:port"); when set, the whole grid
 //                         is fanned across the daemon fleet through

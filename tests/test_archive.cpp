@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "baselines/archive_search.hpp"
 #include "moo/pareto.hpp"
+#include "problems/zdt.hpp"
+#include "random_sets.hpp"
 #include "util/rng.hpp"
 
 namespace moela::moo {
@@ -86,6 +91,79 @@ TEST(ParetoArchive, ClearEmpties) {
   a.insert({1.0}, 0);
   a.clear();
   EXPECT_TRUE(a.empty());
+}
+
+// ---- Differential tests against the O(n^2) definition ----------------------
+
+using test_support::brute_dominates;
+using test_support::random_set;
+
+/// The distinct non-dominated members of `points`, sorted.
+std::vector<ObjectiveVector> brute_front(
+    const std::vector<ObjectiveVector>& points) {
+  std::vector<ObjectiveVector> front;
+  for (const auto& p : points) {
+    bool dominated = false;
+    for (const auto& q : points) dominated = dominated || brute_dominates(q, p);
+    if (!dominated) front.push_back(p);
+  }
+  std::sort(front.begin(), front.end());
+  front.erase(std::unique(front.begin(), front.end()), front.end());
+  return front;
+}
+
+void expect_mutually_non_dominated(const std::vector<ObjectiveVector>& set) {
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    for (std::size_t j = 0; j < set.size(); ++j) {
+      if (i == j) continue;
+      EXPECT_FALSE(brute_dominates(set[j], set[i]));
+      EXPECT_NE(set[j], set[i]) << "duplicate archive member";
+    }
+  }
+}
+
+std::vector<ObjectiveVector> sorted(std::vector<ObjectiveVector> set) {
+  std::sort(set.begin(), set.end());
+  return set;
+}
+
+TEST(ParetoArchiveOracle, InsertKeepsTheBruteForceFront) {
+  util::Rng rng(41);
+  for (std::size_t m = 2; m <= 6; ++m) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const auto points = random_set(rng, 1 + rng.below(60), m);
+      ParetoArchive unbounded;
+      ParetoArchive bounded(8);
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        unbounded.insert(points[i], i);
+        bounded.insert(points[i], i);
+        expect_mutually_non_dominated(bounded.objective_set());
+      }
+      EXPECT_EQ(sorted(unbounded.objective_set()), brute_front(points))
+          << "m=" << m;
+      EXPECT_LE(bounded.size(), 8u);
+    }
+  }
+}
+
+TEST(DesignArchiveOracle, InsertKeepsTheBruteForceFront) {
+  using Zdt = problems::Zdt;
+  util::Rng rng(42);
+  for (std::size_t m = 2; m <= 6; ++m) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const auto points = random_set(rng, 1 + rng.below(60), m);
+      baselines::DesignArchive<Zdt> unbounded(0);
+      baselines::DesignArchive<Zdt> bounded(8);
+      for (const auto& p : points) {
+        unbounded.insert({p[0]}, p);
+        bounded.insert({p[0]}, p);
+        expect_mutually_non_dominated(bounded.objective_set());
+      }
+      EXPECT_EQ(sorted(unbounded.objective_set()), brute_front(points))
+          << "m=" << m;
+      EXPECT_LE(bounded.size(), 8u);
+    }
+  }
 }
 
 }  // namespace

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "moo/pareto.hpp"
+#include "random_sets.hpp"
+#include "reference_hypervolume.hpp"
 #include "util/rng.hpp"
 
 namespace moela::moo {
@@ -139,6 +144,132 @@ TEST_P(HvMonteCarlo, MatchesMonteCarloEstimate) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, HvMonteCarlo, ::testing::Values(2, 3, 4, 5));
+
+// ---- Differential tests against independent oracles ------------------------
+
+using test_support::random_set;
+
+/// Inclusion-exclusion over every non-empty subset T of `points`:
+/// HV = sum (-1)^(|T|+1) vol([max(T), ref]). Exponential, accumulated in
+/// long double so the alternating sum does not lose the digits compared.
+double brute_force_hypervolume(const std::vector<ObjectiveVector>& points,
+                               const ObjectiveVector& ref) {
+  const std::size_t n = points.size();
+  const std::size_t m = ref.size();
+  long double total = 0.0L;
+  for (std::uint32_t mask = 1; mask < (1u << n); ++mask) {
+    ObjectiveVector corner(m, -1e300);
+    int members = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if ((mask >> i & 1u) == 0) continue;
+      ++members;
+      for (std::size_t k = 0; k < m; ++k) {
+        corner[k] = std::max(corner[k], points[i][k]);
+      }
+    }
+    long double volume = 1.0L;
+    for (std::size_t k = 0; k < m; ++k) {
+      volume *= std::max(0.0L, static_cast<long double>(ref[k]) -
+                                   static_cast<long double>(corner[k]));
+    }
+    total += members % 2 == 1 ? volume : -volume;
+  }
+  return static_cast<double>(total);
+}
+
+void expect_relative(double got, double want, double tolerance,
+                     const std::string& what) {
+  EXPECT_LE(std::abs(got - want), tolerance * std::max(std::abs(want), 1e-300))
+      << what << ": got " << got << ", want " << want;
+}
+
+TEST(HypervolumeOracle, MatchesInclusionExclusion) {
+  util::Rng rng(2012);
+  for (std::size_t m = 1; m <= 6; ++m) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const auto points = random_set(rng, 1 + rng.below(12), m);
+      const ObjectiveVector ref(m, 1.0);
+      const double want = brute_force_hypervolume(points, ref);
+      expect_relative(hypervolume(points, ref), want, 1e-12,
+                      "m=" + std::to_string(m) + " trial " +
+                          std::to_string(trial));
+    }
+  }
+}
+
+TEST(HypervolumeOracle, MatchesReferenceWfg) {
+  util::Rng rng(7);
+  for (std::size_t m = 2; m <= 6; ++m) {
+    for (int trial = 0; trial < 60; ++trial) {
+      const std::size_t n = trial < 10 ? 60 : 1 + rng.below(60);
+      const auto points = random_set(rng, n, m);
+      const ObjectiveVector ref(m, 1.0);
+      const double want = reference::hypervolume(points, ref);
+      expect_relative(hypervolume(points, ref), want, 1e-12,
+                      "m=" + std::to_string(m) + " n=" + std::to_string(n));
+    }
+  }
+}
+
+TEST(HypervolumeContribution, EqualsHypervolumeDifference) {
+  util::Rng rng(42);
+  for (std::size_t m = 1; m <= 6; ++m) {
+    for (int trial = 0; trial < 60; ++trial) {
+      auto points = random_set(rng, 2 + rng.below(40), m);
+      points = normalize(points, ideal_point(points), nadir_point(points));
+      const ObjectiveVector candidate = points.back();
+      points.pop_back();
+      const ObjectiveVector ref(m, 1.1);
+      auto with = points;
+      with.push_back(candidate);
+      const double want = hypervolume(with, ref) - hypervolume(points, ref);
+      EXPECT_NEAR(hypervolume_contribution(points, candidate, ref), want,
+                  1e-12)
+          << "m=" << m << " trial " << trial;
+    }
+  }
+}
+
+TEST(HypervolumeContribution, OthersOutsideReferenceAreClipped) {
+  util::Rng rng(43);
+  for (std::size_t m = 1; m <= 6; ++m) {
+    for (int trial = 0; trial < 40; ++trial) {
+      auto points = random_set(rng, 2 + rng.below(40), m);
+      const ObjectiveVector ref(m, 1.0);  // the set reaches 1.05
+      const ObjectiveVector candidate(m, 0.5 * rng.uniform());
+      auto with = points;
+      with.push_back(candidate);
+      const double want = hypervolume(with, ref) - hypervolume(points, ref);
+      EXPECT_NEAR(hypervolume_contribution(points, candidate, ref), want,
+                  1e-12)
+          << "m=" << m << " trial " << trial;
+    }
+  }
+}
+
+TEST(HypervolumeContribution, DominatedOrDuplicateCandidateIsExactlyZero) {
+  util::Rng rng(5);
+  for (std::size_t m = 1; m <= 6; ++m) {
+    for (int trial = 0; trial < 30; ++trial) {
+      const auto points = random_set(rng, 1 + rng.below(40), m);
+      const ObjectiveVector ref(m, 1.1);
+      const auto& anchor = points[rng.below(points.size())];
+      EXPECT_EQ(hypervolume_contribution(points, anchor, ref), 0.0)
+          << "duplicate, m=" << m;
+      ObjectiveVector worse = anchor;
+      for (auto& v : worse) v += 0.25 * rng.uniform() * (1.1 - v);
+      EXPECT_EQ(hypervolume_contribution(points, worse, ref), 0.0)
+          << "dominated, m=" << m;
+    }
+  }
+}
+
+TEST(HypervolumeContribution, CandidateOutsideReferenceIsZero) {
+  const std::vector<ObjectiveVector> others{{0.5, 0.5}};
+  EXPECT_EQ(hypervolume_contribution(others, {1.2, 0.1}, {1.0, 1.0}), 0.0);
+  EXPECT_DOUBLE_EQ(hypervolume_contribution({}, {0.5, 0.25}, {1.0, 1.0}),
+                   0.375);
+}
 
 }  // namespace
 }  // namespace moela::moo

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "moo/objective.hpp"
+#include "random_sets.hpp"
 #include "util/rng.hpp"
 
 namespace moela::moo {
@@ -194,6 +196,66 @@ TEST_P(ParetoFilterSweep, FilterResultIsMutuallyNonDominated) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParetoFilterSweep,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// ---- Differential tests against the O(n^2) definition ----------------------
+
+using test_support::brute_dominates;
+using test_support::random_set;
+
+TEST(ParetoFilterOracle, MatchesBruteForceScan) {
+  util::Rng rng(31);
+  for (std::size_t m = 2; m <= 6; ++m) {
+    for (int trial = 0; trial < 60; ++trial) {
+      const auto points = random_set(rng, 1 + rng.below(60), m);
+      // Kept: dominated by nobody and not a repeat of an earlier point, in
+      // input order.
+      std::vector<std::size_t> want;
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        bool keep = true;
+        for (std::size_t j = 0; j < points.size() && keep; ++j) {
+          if (brute_dominates(points[j], points[i])) keep = false;
+          if (j < i && points[j] == points[i]) keep = false;
+        }
+        if (keep) want.push_back(i);
+      }
+      EXPECT_EQ(pareto_filter(points), want) << "m=" << m;
+    }
+  }
+}
+
+TEST(NonDominatedSortOracle, FrontsAreTheBruteForceLayers) {
+  util::Rng rng(32);
+  for (std::size_t m = 2; m <= 6; ++m) {
+    for (int trial = 0; trial < 60; ++trial) {
+      const auto points = random_set(rng, 1 + rng.below(60), m);
+      const auto fronts = non_dominated_sort(points);
+      // Every index lands in exactly one front.
+      std::vector<int> seen(points.size(), 0);
+      for (const auto& front : fronts) {
+        ASSERT_FALSE(front.empty());
+        for (auto i : front) ++seen[i];
+      }
+      EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+                static_cast<std::ptrdiff_t>(points.size()));
+      for (std::size_t k = 0; k < fronts.size(); ++k) {
+        for (auto i : fronts[k]) {
+          for (auto j : fronts[k]) {
+            EXPECT_FALSE(brute_dominates(points[j], points[i]))
+                << "front " << k << " is not mutually non-dominated";
+          }
+          if (k == 0) continue;
+          bool covered = false;
+          for (auto j : fronts[k - 1]) {
+            covered = covered || brute_dominates(points[j], points[i]);
+          }
+          EXPECT_TRUE(covered) << "point " << i << " in front " << k
+                               << " is dominated by nothing in front "
+                               << k - 1;
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace moela::moo

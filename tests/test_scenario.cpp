@@ -7,6 +7,7 @@
 #include <string>
 
 #include "api/registry.hpp"
+#include "api/result_cache.hpp"
 #include "core/moela.hpp"
 #include "exp/scenario.hpp"
 #include "moo/metrics.hpp"
@@ -56,6 +57,20 @@ TEST(PaperBenchConfig, EnvOverrides) {
   EXPECT_EQ(config.max_evaluations, 1234u);
   EXPECT_TRUE(config.small_platform);
   EXPECT_DOUBLE_EQ(config.max_seconds, 2.5);
+}
+
+TEST(PaperBenchConfig, CacheKnob) {
+  EnvGuard guard("MOELA_BENCH_CACHE");
+  unsetenv("MOELA_BENCH_CACHE");
+  EXPECT_TRUE(paper_bench_config_from_env().cache_dir.empty());
+  // "0" means off, not a cache directory named 0.
+  setenv("MOELA_BENCH_CACHE", "0", 1);
+  EXPECT_TRUE(paper_bench_config_from_env().cache_dir.empty());
+  setenv("MOELA_BENCH_CACHE", "1", 1);
+  EXPECT_EQ(paper_bench_config_from_env().cache_dir,
+            api::ResultCache::default_disk_dir());
+  setenv("MOELA_BENCH_CACHE", "bench-cache", 1);
+  EXPECT_EQ(paper_bench_config_from_env().cache_dir, "bench-cache");
 }
 
 TEST(PaperBenchConfig, PlatformSelection) {
