@@ -16,8 +16,9 @@ exits 1. Improvements and within-noise drift are reported but never fail.
 Benchmarks present on only one side are listed as added/removed, not
 failed, so the baseline does not have to be regenerated in the same PR
 that adds a benchmark. A warning is printed when the two files were
-recorded with a different CPU count or google-benchmark build type, since
-their times are then not comparable.
+recorded on a different host, at a different CPU clock, with a different
+CPU count or with a different google-benchmark build type, since their
+times are then not comparable.
 
 The committed baselines live at the repo root (BENCH_*.json), produced by
     bench_micro --benchmark_filter=BM_EndToEnd --benchmark_repetitions=5 \
@@ -30,7 +31,7 @@ import statistics
 import sys
 
 # Context fields that make two files' times incomparable when they differ.
-CONTEXT_KEYS = ("num_cpus", "library_build_type")
+CONTEXT_KEYS = ("host_name", "mhz_per_cpu", "num_cpus", "library_build_type")
 
 
 def load(path):
@@ -145,9 +146,19 @@ def self_test():
         row("BM_B", 100.0, items_per_second=9.0),
     ]})
     single = parse_benchmarks({"benchmarks": [row("BM_C", 7.0)]})
-    same = {"context": {"num_cpus": 4, "library_build_type": "release"}}
-    other = {"context": {"num_cpus": 1, "library_build_type": "debug"}}
+    same = {"context": {"host_name": "vm-a", "mhz_per_cpu": 2000,
+                        "num_cpus": 4, "library_build_type": "release"}}
+    other = {"context": {"host_name": "vm-a", "mhz_per_cpu": 2000,
+                         "num_cpus": 1, "library_build_type": "debug"}}
     warnings = context_warnings(same, other)
+
+    def differing_only(key, value):
+        """Warnings for a context that differs from `same` in `key` alone."""
+        return context_warnings(
+            same, {"context": {**same["context"], key: value}})
+
+    other_host = differing_only("host_name", "vm-b")
+    other_clock = differing_only("mhz_per_cpu", 2100)
     checks = [
         (regressions == expected,
          f"expected {expected}, got {regressions}"),
@@ -166,6 +177,10 @@ def self_test():
         (len(warnings) == 2 and "num_cpus" in warnings[0]
          and "library_build_type" in warnings[1],
          f"context mismatch not warned: {warnings}"),
+        (len(other_host) == 1 and "host_name" in other_host[0],
+         f"host mismatch not warned: {other_host}"),
+        (len(other_clock) == 1 and "mhz_per_cpu" in other_clock[0],
+         f"CPU clock mismatch not warned: {other_clock}"),
         (context_warnings(same, same) == [],
          "matching contexts must not warn"),
     ]

@@ -5,280 +5,49 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <istream>
-#include <ostream>
-#include <sstream>
+#include <iterator>
 #include <vector>
 
 #include <unistd.h>
 
-#include "api/request.hpp"
+#include "api/serde.hpp"
+#include "util/json.hpp"
 #include "util/numeric.hpp"
-#include "noc/design.hpp"
-#include "noc/io.hpp"
 
 namespace moela::api {
 namespace {
 
 namespace fs = std::filesystem;
 
-// The one canonical double rendering (hexfloat), shared with the cache-key
-// builder so keys and serialized reports can never disagree on a value.
-using detail::exact_double;
-
-/// Parses a hexfloat (or decimal) token, locale-independently.
-bool parse_double(const std::string& token, double& out) {
-  return util::parse_double(token, out);
-}
-
-void write_rows(std::ostream& os,
-                const std::vector<moo::ObjectiveVector>& rows) {
-  for (const auto& row : rows) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      os << (i == 0 ? "" : " ") << exact_double(row[i]);
-    }
-    os << '\n';
+/// Reads one disk entry. A missing or unparsable file, an embedded key
+/// other than `key` (a hash collision) or a malformed report is a miss.
+std::optional<RunReport> read_entry(const fs::path& path,
+                                    const std::string& key) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const auto entry = util::Json::try_parse(text);
+  if (!entry) return std::nullopt;
+  const util::Json* stored_key = entry->find("key");
+  const util::Json* report = entry->find("report");
+  if (stored_key == nullptr || !stored_key->is_string() ||
+      stored_key->as_string() != key || report == nullptr ||
+      !report->is_object()) {
+    return std::nullopt;
   }
-}
-
-bool read_rows(std::istream& is, std::size_t count, std::size_t width,
-               std::vector<moo::ObjectiveVector>& out) {
-  out.reserve(count);
-  for (std::size_t r = 0; r < count; ++r) {
-    moo::ObjectiveVector row(width);
-    for (std::size_t i = 0; i < width; ++i) {
-      std::string token;
-      if (!(is >> token) || !parse_double(token, row[i])) return false;
-    }
-    out.push_back(std::move(row));
+  try {
+    RunReport out = report_from_json(*report);
+    out.provenance.cache_key = key;
+    return out;
+  } catch (const util::JsonError&) {
+    return std::nullopt;
   }
-  return true;
-}
-
-/// Reads `tag <value>` and fails unless the tag matches.
-bool read_tagged(std::istream& is, const char* tag, std::string& value) {
-  std::string got;
-  return (is >> got >> value) && got == tag;
-}
-
-bool read_tagged_size(std::istream& is, const char* tag, std::size_t& value) {
-  std::string token;
-  if (!read_tagged(is, tag, token)) return false;
-  std::uint64_t parsed = 0;
-  if (!util::parse_u64(token, parsed)) return false;
-  value = static_cast<std::size_t>(parsed);
-  return true;
-}
-
-// ---------------------------------------------------------------- designs
-// Codec for the library's design types. Unknown types serialize as "none"
-// (the report is still useful for fronts/traces; lookups that need designs
-// reject it).
-
-enum class DesignKind { kNone, kReal, kBinary, kNoc };
-
-DesignKind design_kind(const std::vector<AnyDesign>& designs) {
-  if (designs.empty()) return DesignKind::kNone;
-  const std::type_info& t = designs.front().type();
-  if (t == typeid(std::vector<double>)) return DesignKind::kReal;
-  if (t == typeid(std::vector<std::uint8_t>)) return DesignKind::kBinary;
-  if (t == typeid(noc::NocDesign)) return DesignKind::kNoc;
-  return DesignKind::kNone;
-}
-
-void write_designs(std::ostream& os, const std::vector<AnyDesign>& designs) {
-  switch (design_kind(designs)) {
-    case DesignKind::kReal:
-      os << "designs real " << designs.size() << '\n';
-      for (const auto& d : designs) {
-        const auto& v = d.as<std::vector<double>>();
-        os << v.size();
-        for (double x : v) os << ' ' << exact_double(x);
-        os << '\n';
-      }
-      break;
-    case DesignKind::kBinary:
-      os << "designs binary " << designs.size() << '\n';
-      for (const auto& d : designs) {
-        const auto& v = d.as<std::vector<std::uint8_t>>();
-        os << v.size();
-        for (unsigned x : v) os << ' ' << x;
-        os << '\n';
-      }
-      break;
-    case DesignKind::kNoc:
-      os << "designs noc " << designs.size() << '\n';
-      for (const auto& d : designs) {
-        noc::write_design(os, d.as<noc::NocDesign>());
-      }
-      break;
-    case DesignKind::kNone:
-      os << "designs none 0\n";
-      break;
-  }
-}
-
-bool read_designs(std::istream& is, std::vector<AnyDesign>& out) {
-  std::string tag, kind;
-  std::size_t count = 0;
-  if (!(is >> tag >> kind >> count) || tag != "designs") return false;
-  out.reserve(count);
-  if (kind == "none") return true;
-  if (kind == "real") {
-    for (std::size_t k = 0; k < count; ++k) {
-      std::size_t n = 0;
-      if (!(is >> n)) return false;
-      std::vector<double> v(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        std::string token;
-        if (!(is >> token) || !parse_double(token, v[i])) return false;
-      }
-      out.push_back(AnyDesign::wrap<std::vector<double>>(std::move(v)));
-    }
-    return true;
-  }
-  if (kind == "binary") {
-    for (std::size_t k = 0; k < count; ++k) {
-      std::size_t n = 0;
-      if (!(is >> n)) return false;
-      std::vector<std::uint8_t> v(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        unsigned x = 0;
-        if (!(is >> x)) return false;
-        v[i] = static_cast<std::uint8_t>(x);
-      }
-      out.push_back(AnyDesign::wrap<std::vector<std::uint8_t>>(std::move(v)));
-    }
-    return true;
-  }
-  if (kind == "noc") {
-    is.ignore();  // consume the newline before line-oriented parsing
-    try {
-      for (std::size_t k = 0; k < count; ++k) {
-        out.push_back(AnyDesign::wrap<noc::NocDesign>(noc::read_design(is)));
-      }
-    } catch (const std::exception&) {
-      return false;
-    }
-    return true;
-  }
-  return false;
 }
 
 }  // namespace
-
-namespace detail {
-
-void write_report(std::ostream& os, const std::string& key,
-                  const RunReport& report) {
-  os << "moela-report v1\n";
-  os << "key " << key << '\n';
-  os << "algorithm " << report.algorithm << '\n';
-  const RunProvenance& p = report.provenance;
-  os << "problem " << (p.problem.empty() ? "-" : p.problem) << '\n';
-  os << "algorithm_key "
-     << (p.algorithm_key.empty() ? "-" : p.algorithm_key) << '\n';
-  os << "seed " << p.seed << '\n';
-  os << "evaluations " << report.evaluations << '\n';
-  os << "seconds " << exact_double(report.seconds) << '\n';
-  os << "knobs " << p.knobs.size() << '\n';
-  for (const auto& [name, value] : p.knobs) {
-    os << name << ' ' << exact_double(value) << '\n';
-  }
-  os << "snapshots " << report.snapshots.size() << '\n';
-  for (const auto& s : report.snapshots) {
-    const std::size_t width = s.front.empty() ? 0 : s.front.front().size();
-    os << "snapshot " << s.evaluations << ' ' << exact_double(s.seconds)
-       << ' ' << s.front.size() << ' ' << width << '\n';
-    write_rows(os, s.front);
-  }
-  const std::size_t front_width =
-      report.final_front.empty() ? 0 : report.final_front.front().size();
-  os << "front " << report.final_front.size() << ' ' << front_width << '\n';
-  write_rows(os, report.final_front);
-  const std::size_t obj_width = report.final_objectives.empty()
-                                    ? 0
-                                    : report.final_objectives.front().size();
-  os << "objectives " << report.final_objectives.size() << ' ' << obj_width
-     << '\n';
-  write_rows(os, report.final_objectives);
-  write_designs(os, report.final_designs);
-}
-
-std::optional<RunReport> read_report(std::istream& is,
-                                     const std::string& key) {
-  std::string line;
-  if (!std::getline(is, line) || line != "moela-report v1") {
-    return std::nullopt;
-  }
-  if (!std::getline(is, line) || line.rfind("key ", 0) != 0 ||
-      line.substr(4) != key) {
-    return std::nullopt;  // hash collision or truncated file: a miss
-  }
-  RunReport report;
-  if (!std::getline(is, line) || line.rfind("algorithm ", 0) != 0) {
-    return std::nullopt;
-  }
-  report.algorithm = line.substr(std::strlen("algorithm "));
-
-  RunProvenance& p = report.provenance;
-  std::string token;
-  if (!read_tagged(is, "problem", token)) return std::nullopt;
-  p.problem = token == "-" ? "" : token;
-  if (!read_tagged(is, "algorithm_key", token)) return std::nullopt;
-  p.algorithm_key = token == "-" ? "" : token;
-  if (!read_tagged(is, "seed", token)) return std::nullopt;
-  if (!util::parse_u64(token, p.seed)) p.seed = 0;
-  if (!read_tagged_size(is, "evaluations", report.evaluations)) {
-    return std::nullopt;
-  }
-  if (!read_tagged(is, "seconds", token) ||
-      !parse_double(token, report.seconds)) {
-    return std::nullopt;
-  }
-  std::size_t knob_count = 0;
-  if (!read_tagged_size(is, "knobs", knob_count)) return std::nullopt;
-  for (std::size_t k = 0; k < knob_count; ++k) {
-    std::string name;
-    double value = 0.0;
-    if (!(is >> name >> token) || !parse_double(token, value)) {
-      return std::nullopt;
-    }
-    p.knobs[name] = value;
-  }
-  std::size_t snapshot_count = 0;
-  if (!read_tagged_size(is, "snapshots", snapshot_count)) return std::nullopt;
-  report.snapshots.reserve(snapshot_count);
-  for (std::size_t k = 0; k < snapshot_count; ++k) {
-    core::ArchiveSnapshot s;
-    std::size_t rows = 0, width = 0;
-    std::string tag;
-    if (!(is >> tag >> s.evaluations >> token) || tag != "snapshot" ||
-        !parse_double(token, s.seconds) || !(is >> rows >> width) ||
-        !read_rows(is, rows, width, s.front)) {
-      return std::nullopt;
-    }
-    report.snapshots.push_back(std::move(s));
-  }
-  std::size_t rows = 0, width = 0;
-  std::string tag;
-  if (!(is >> tag >> rows >> width) || tag != "front" ||
-      !read_rows(is, rows, width, report.final_front)) {
-    return std::nullopt;
-  }
-  if (!(is >> tag >> rows >> width) || tag != "objectives" ||
-      !read_rows(is, rows, width, report.final_objectives)) {
-    return std::nullopt;
-  }
-  if (!read_designs(is, report.final_designs)) return std::nullopt;
-  p.cache_key = key;
-  return report;
-}
-
-}  // namespace detail
 
 std::string ResultCache::default_disk_dir() {
   if (const char* dir = std::getenv("MOELA_CACHE_DIR");
@@ -339,22 +108,19 @@ std::optional<RunReport> ResultCache::lookup(const std::string& key,
   }
   if (!dir_.empty()) {
     const fs::path path = fs::path(dir_) / (hash_key(key) + ".moela");
-    std::ifstream in(path);
-    if (in) {
-      auto report = detail::read_report(in, key);
-      if (report.has_value() &&
-          (!need_designs || !report->final_designs.empty())) {
-        report->provenance.cache_hit = true;
-        // Refresh the entry's file time so the size cap evicts
-        // least-recently-USED, not least-recently-written.
-        std::error_code ec;
-        fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
-        util::MutexLock lock(mutex_);
-        ++stats_.disk_hits;
-        if (metric_disk_hits_ != nullptr) metric_disk_hits_->add();
-        memory_.emplace(key, *report);
-        return report;
-      }
+    auto report = read_entry(path, key);
+    if (report.has_value() &&
+        (!need_designs || !report->final_designs.empty())) {
+      report->provenance.cache_hit = true;
+      // Refresh the entry's file time so the size cap evicts
+      // least-recently-USED, not least-recently-written.
+      std::error_code ec;
+      fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
+      util::MutexLock lock(mutex_);
+      ++stats_.disk_hits;
+      if (metric_disk_hits_ != nullptr) metric_disk_hits_->add();
+      memory_.emplace(key, *report);
+      return report;
     }
   }
   util::MutexLock lock(mutex_);
@@ -381,14 +147,21 @@ void ResultCache::store(const std::string& key, const RunReport& report) {
   // storing the same key, or separate processes) never interleave; rename()
   // makes the publish atomic on POSIX.
   static std::atomic<std::uint64_t> write_counter{0};
-  std::ostringstream temp_name;
-  temp_name << stem << ".tmp." << ::getpid() << "."
-            << write_counter.fetch_add(1, std::memory_order_relaxed);
-  const fs::path temp_path = fs::path(dir_) / temp_name.str();
+  const fs::path temp_path =
+      fs::path(dir_) /
+      (stem + ".tmp." + util::dec(::getpid()) + "." +
+       util::dec(write_counter.fetch_add(1, std::memory_order_relaxed)));
+  // One JSON line: the key (so a hash collision reads as a miss) and the
+  // report exactly as the daemon sends it.
+  std::string text = "{\"key\":";
+  util::append_json_string(text, key);
+  text += ",\"report\":";
+  append_report_json(text, report);
+  text += "}\n";
   {
-    std::ofstream out(temp_path);
+    std::ofstream out(temp_path, std::ios::binary);
     if (!out) return;
-    detail::write_report(out, key, report);
+    out.write(text.data(), static_cast<std::streamsize>(text.size()));
     if (!out) {
       out.close();
       fs::remove(temp_path, ec);

@@ -6,16 +6,18 @@
 //   * memory — always on; stores the report verbatim (designs included),
 //     serves repeats within one process (e.g. the same (app, m) cell used
 //     by several tables).
-//   * disk   — optional; one text file per key under a cache directory,
-//     doubles rendered as hexfloats so reports round-trip bit-exactly.
-//     Serves repeats ACROSS processes (a re-invoked CLI or bench).
+//   * disk   — optional; one file per key under a cache directory,
+//     `<hash>.moela`, holding one JSON line {"key": <key>, "report": <the
+//     report as api::append_report_json writes it for the wire>}. Doubles
+//     are hexfloat strings, so reports round-trip bit-exactly. Serves
+//     repeats ACROSS processes (a re-invoked CLI or bench). An entry that
+//     does not parse, or whose key differs, reads as a miss.
 //
-// Designs are type-erased (AnyDesign), so the disk tier serializes them
-// through a small codec covering the library's design types — real vectors
-// (ZDT/DTLZ/continuous), binary vectors (knapsack), and NocDesign (via
-// noc/io). Reports whose design type has no codec are stored without
-// designs; a lookup with need_designs = true then rejects such entries and
-// the caller recomputes.
+// Designs are type-erased (AnyDesign); the report encoding covers the
+// library's design types — real vectors (ZDT/DTLZ/continuous), binary
+// vectors (knapsack), and NocDesign (via noc/io). Reports whose design type
+// it does not cover are stored without designs; a lookup with need_designs
+// = true then rejects such entries and the caller recomputes.
 //
 // Thread-safe: lookup/store may be called concurrently from Executor
 // workers. Cross-process disk writes are atomic (write-temp + rename).
@@ -24,7 +26,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <optional>
 #include <string>
@@ -120,15 +121,5 @@ class ResultCache {
   util::Counter* metric_stores_ = nullptr;
   util::Counter* metric_evictions_ = nullptr;
 };
-
-namespace detail {
-/// Text serialization used by the disk tier (exposed for tests). `key` is
-/// embedded so a hash collision reads as a miss, never as a wrong hit.
-void write_report(std::ostream& os, const std::string& key,
-                  const RunReport& report);
-/// Parses a serialized report; nullopt when malformed or when the embedded
-/// key differs from `key`.
-std::optional<RunReport> read_report(std::istream& is, const std::string& key);
-}  // namespace detail
 
 }  // namespace moela::api

@@ -2,7 +2,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <sstream>
+#include <string>
+#include <typeinfo>
 #include <utility>
 #include <vector>
 
@@ -14,18 +15,7 @@ namespace moela::api {
 namespace {
 
 using util::Json;
-using util::JsonArray;
 using util::JsonError;
-
-Json rows_to_json(const std::vector<moo::ObjectiveVector>& rows) {
-  Json out = Json::array();
-  for (const auto& row : rows) {
-    Json json_row = Json::array();
-    for (double v : row) json_row.append(util::exact_number(v));
-    out.append(std::move(json_row));
-  }
-  return out;
-}
 
 std::vector<moo::ObjectiveVector> rows_from_json(const Json& json) {
   std::vector<moo::ObjectiveVector> out;
@@ -78,46 +68,8 @@ void read_bool(const Json& obj, const char* key, bool& out) {
 }
 
 // ---------------------------------------------------------------- designs
-// Same three kinds as the result cache's disk codec: real vectors, binary
-// vectors, NocDesign (via the noc/io text format, embedded as strings).
-
-Json designs_to_json(const std::vector<AnyDesign>& designs) {
-  Json out = Json::object();
-  Json payload = Json::array();
-  if (designs.empty()) {
-    return out.set("kind", "none").set("values", std::move(payload));
-  }
-  const std::type_info& t = designs.front().type();
-  if (t == typeid(std::vector<double>)) {
-    for (const auto& d : designs) {
-      Json row = Json::array();
-      for (double x : d.as<std::vector<double>>()) {
-        row.append(util::exact_number(x));
-      }
-      payload.append(std::move(row));
-    }
-    return out.set("kind", "real").set("values", std::move(payload));
-  }
-  if (t == typeid(std::vector<std::uint8_t>)) {
-    for (const auto& d : designs) {
-      Json row = Json::array();
-      for (unsigned x : d.as<std::vector<std::uint8_t>>()) {
-        row.append(static_cast<std::uint64_t>(x));
-      }
-      payload.append(std::move(row));
-    }
-    return out.set("kind", "binary").set("values", std::move(payload));
-  }
-  if (t == typeid(noc::NocDesign)) {
-    for (const auto& d : designs) {
-      std::ostringstream os;
-      noc::write_design(os, d.as<noc::NocDesign>());
-      payload.append(os.str());
-    }
-    return out.set("kind", "noc").set("values", std::move(payload));
-  }
-  return out.set("kind", "none").set("values", std::move(payload));
-}
+// Three kinds: real vectors, binary vectors, NocDesign (via the noc/io text
+// format, embedded as strings). append_report_json writes the same kinds.
 
 std::vector<AnyDesign> designs_from_json(const Json& json) {
   std::vector<AnyDesign> out;
@@ -150,9 +102,9 @@ std::vector<AnyDesign> designs_from_json(const Json& json) {
   }
   if (kind == "noc") {
     for (const auto& text : values->as_array()) {
-      std::istringstream is(text.as_string());
       try {
-        out.push_back(AnyDesign::wrap<noc::NocDesign>(noc::read_design(is)));
+        out.push_back(AnyDesign::wrap<noc::NocDesign>(
+            noc::design_from_string(text.as_string())));
       } catch (const std::exception& e) {
         throw JsonError(std::string("designs: bad noc payload: ") + e.what());
       }
@@ -160,6 +112,75 @@ std::vector<AnyDesign> designs_from_json(const Json& json) {
     return out;
   }
   throw JsonError("designs: unknown kind '" + kind + "'");
+}
+
+// ---------------------------------------------------------------- report
+// The one RunReport encoder. It streams text without building a Json tree,
+// and writes the bytes dump() would write for the same fields: keys in
+// sorted order, doubles as hexfloat strings, strings escaped by
+// util::append_json_string. tests/reference_report_json.hpp keeps the
+// tree-building encoder this replaced, as the oracle for those bytes.
+
+/// A double as an exact_number() string. Hexfloat text never needs escaping.
+void append_exact(std::string& out, double value) {
+  out += '"';
+  out += util::hexfloat(value);
+  out += '"';
+}
+
+/// `[item,item,...]`, each item written by `append_item`.
+template <typename Range, typename AppendItem>
+void append_array(std::string& out, const Range& items,
+                  AppendItem&& append_item) {
+  out += '[';
+  bool first = true;
+  for (const auto& item : items) {
+    if (!first) out += ',';
+    first = false;
+    append_item(item);
+  }
+  out += ']';
+}
+
+void append_row(std::string& out, const std::vector<double>& row) {
+  append_array(out, row, [&](double v) { append_exact(out, v); });
+}
+
+void append_rows(std::string& out,
+                 const std::vector<moo::ObjectiveVector>& rows) {
+  append_array(out, rows,
+               [&](const moo::ObjectiveVector& row) { append_row(out, row); });
+}
+
+/// Other design types write kind "none" and drop the payload.
+void append_designs(std::string& out, const std::vector<AnyDesign>& designs) {
+  const std::type_info& t =
+      designs.empty() ? typeid(void) : designs.front().type();
+  if (t == typeid(std::vector<double>)) {
+    out += "{\"kind\":\"real\",\"values\":";
+    append_array(out, designs, [&](const AnyDesign& d) {
+      append_row(out, d.as<std::vector<double>>());
+    });
+  } else if (t == typeid(std::vector<std::uint8_t>)) {
+    out += "{\"kind\":\"binary\",\"values\":";
+    append_array(out, designs, [&](const AnyDesign& d) {
+      append_array(out, d.as<std::vector<std::uint8_t>>(),
+                   [&](unsigned x) { out += util::dec(x); });
+    });
+  } else if (t == typeid(noc::NocDesign)) {
+    out += "{\"kind\":\"noc\",\"values\":";
+    append_array(out, designs, [&](const AnyDesign& d) {
+      util::append_json_string(out,
+                               noc::design_to_string(d.as<noc::NocDesign>()));
+    });
+  } else {
+    out += "{\"kind\":\"none\",\"values\":[]";
+  }
+  out += '}';
+}
+
+void append_bool(std::string& out, bool value) {
+  out += value ? "true" : "false";
 }
 
 }  // namespace
@@ -244,38 +265,58 @@ RunRequest request_from_json(const Json& json) {
   return request;
 }
 
-Json report_to_json(const RunReport& report) {
-  Json snapshots = Json::array();
-  for (const auto& s : report.snapshots) {
-    Json snapshot = Json::object();
-    snapshot.set("evaluations", s.evaluations)
-        .set("seconds", util::exact_number(s.seconds))
-        .set("front", rows_to_json(s.front));
-    snapshots.append(std::move(snapshot));
-  }
+void append_report_json(std::string& out, const RunReport& report) {
+  out += "{\"algorithm\":";
+  util::append_json_string(out, report.algorithm);
+  out += ",\"designs\":";
+  append_designs(out, report.final_designs);
+  out += ",\"evaluations\":";
+  out += util::dec(report.evaluations);
+  out += ",\"final_front\":";
+  append_rows(out, report.final_front);
+  out += ",\"final_objectives\":";
+  append_rows(out, report.final_objectives);
 
   const RunProvenance& p = report.provenance;
-  Json provenance = Json::object();
-  provenance.set("problem", p.problem)
-      .set("algorithm_key", p.algorithm_key)
-      .set("seed", p.seed)
-      .set("knobs", knobs_to_json(p.knobs))
-      .set("cache_key", p.cache_key)
-      .set("cache_hit", p.cache_hit)
-      .set("cancelled", p.cancelled)
-      .set("priority", p.priority)
-      .set("trace", p.trace_id);
+  out += ",\"provenance\":{\"algorithm_key\":";
+  util::append_json_string(out, p.algorithm_key);
+  out += ",\"cache_hit\":";
+  append_bool(out, p.cache_hit);
+  out += ",\"cache_key\":";
+  util::append_json_string(out, p.cache_key);
+  out += ",\"cancelled\":";
+  append_bool(out, p.cancelled);
+  out += ",\"knobs\":{";
+  bool first = true;
+  for (const auto& [name, value] : p.knobs) {
+    if (!first) out += ',';
+    first = false;
+    util::append_json_string(out, name);
+    out += ':';
+    append_exact(out, value);
+  }
+  out += "},\"priority\":";
+  util::append_json_string(out, p.priority);
+  out += ",\"problem\":";
+  util::append_json_string(out, p.problem);
+  out += ",\"seed\":";
+  out += util::dec(p.seed);
+  out += ",\"trace\":";
+  util::append_json_string(out, p.trace_id);
 
-  Json out = Json::object();
-  out.set("algorithm", report.algorithm)
-      .set("snapshots", std::move(snapshots))
-      .set("final_front", rows_to_json(report.final_front))
-      .set("final_objectives", rows_to_json(report.final_objectives))
-      .set("designs", designs_to_json(report.final_designs))
-      .set("evaluations", report.evaluations)
-      .set("seconds", util::exact_number(report.seconds))
-      .set("provenance", std::move(provenance));
-  return out;
+  out += "},\"seconds\":";
+  append_exact(out, report.seconds);
+  out += ",\"snapshots\":";
+  append_array(out, report.snapshots, [&](const core::ArchiveSnapshot& s) {
+    out += "{\"evaluations\":";
+    out += util::dec(s.evaluations);
+    out += ",\"front\":";
+    append_rows(out, s.front);
+    out += ",\"seconds\":";
+    append_exact(out, s.seconds);
+    out += '}';
+  });
+  out += '}';
 }
 
 RunReport report_from_json(const Json& json) {

@@ -1,6 +1,6 @@
 // JSON (de)serialization for the batched-execution value types — the wire
-// schema of the serving protocol (src/serve/) and the per-run structured
-// logs. The JSON field names map 1:1 onto the C++ members, so a request
+// schema of the serving protocol (src/serve/), the entry format of the
+// result cache's disk tier, and the per-run structured logs. The JSON field names map 1:1 onto the C++ members, so a request
 // hand-written against api/request.hpp works unchanged over the socket.
 //
 // Exactness contract: every double that feeds results or cache keys
@@ -34,11 +34,14 @@ util::Json request_to_json(const RunRequest& request);
 /// type mismatch or a missing required field (problem, algorithm).
 RunRequest request_from_json(const util::Json& json);
 
-/// Report → JSON. Includes snapshots, the final front/objectives, the
-/// type-erased designs (real / binary / noc kinds; other design types
-/// serialize as kind "none" and drop the payload, mirroring the result
-/// cache's codec), and provenance.
-util::Json report_to_json(const RunReport& report);
+/// Report → JSON text, appended to `out`: the one RunReport encoding, used
+/// by the daemon's `run` responses and the result cache's disk tier alike.
+/// Fields: algorithm, designs{kind, values}, evaluations, final_front,
+/// final_objectives, provenance{...}, seconds, snapshots[]. Designs are
+/// type-erased: real / binary / noc kinds serialize, other design types
+/// write kind "none" and drop the payload. Streams without a Json tree, and
+/// the bytes equal Json::parse(text).dump(): one line, sorted keys.
+void append_report_json(std::string& out, const RunReport& report);
 
 /// JSON → report. Throws util::JsonError on malformed input.
 RunReport report_from_json(const util::Json& json);

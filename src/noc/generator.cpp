@@ -38,8 +38,6 @@ class DisjointSet {
   std::vector<std::size_t> rank_;
 };
 
-/// Removing `link`, is the graph still connected? O(V + E) BFS.
-
 }  // namespace
 
 std::vector<CoreId> DesignOps::random_placement(util::Rng& rng) const {
@@ -185,57 +183,27 @@ bool DesignOps::swap_cores(NocDesign& d, util::Rng& rng) const {
   return false;
 }
 
-bool DesignOps::move_planar_link(NocDesign& d, util::Rng& rng) const {
+bool DesignOps::move_link(NocDesign& d, bool planar, util::Rng& rng) const {
   const auto& spec = *spec_;
+  const auto& candidates =
+      planar ? spec.planar_candidates() : spec.vertical_candidates();
+  const std::size_t budget =
+      planar ? spec.num_planar_links() : spec.num_vertical_links();
+  // When the budget equals the candidate count every slot is occupied (the
+  // paper's 48/48 TSV setup) and there is nothing to move.
+  if (budget >= candidates.size()) return false;
   auto split = split_links(spec, d.links);
-  if (split.planar.empty()) return false;
+  const auto& movable = planar ? split.planar : split.vertical;
+  if (movable.empty()) return false;
   const auto max_degree = static_cast<std::size_t>(spec.max_router_degree());
 
   Adjacency adj(spec, d.links);
   for (int attempt = 0; attempt < 24; ++attempt) {
-    const Link victim = rng.pick(split.planar);
-    const Link incoming = rng.pick(spec.planar_candidates());
+    const Link victim = rng.pick(movable);
+    const Link incoming = rng.pick(candidates);
     if (incoming == victim) continue;
     if (std::binary_search(d.links.begin(), d.links.end(), incoming)) continue;
     // Degree after the exchange (the victim's endpoints lose one).
-    auto deg_after = [&](TileId t) {
-      std::size_t deg = adj.degree(t);
-      if (t == victim.a || t == victim.b) --deg;
-      if (t == incoming.a || t == incoming.b) ++deg;
-      return deg;
-    };
-    if (deg_after(incoming.a) > max_degree ||
-        deg_after(incoming.b) > max_degree) {
-      continue;
-    }
-    std::vector<Link> candidate = d.links;
-    std::erase(candidate, victim);
-    candidate.push_back(incoming);
-    std::sort(candidate.begin(), candidate.end());
-    if (!Adjacency(spec, candidate).connected()) continue;
-    d.links = std::move(candidate);
-    return true;
-  }
-  return false;
-}
-
-bool DesignOps::move_vertical_link(NocDesign& d, util::Rng& rng) const {
-  const auto& spec = *spec_;
-  // When the budget equals the candidate count every TSV slot is occupied
-  // (the paper's 48/48 setup) and there is nothing to move.
-  if (spec.num_vertical_links() >= spec.vertical_candidates().size()) {
-    return false;
-  }
-  auto split = split_links(spec, d.links);
-  if (split.vertical.empty()) return false;
-  const auto max_degree = static_cast<std::size_t>(spec.max_router_degree());
-
-  Adjacency adj(spec, d.links);
-  for (int attempt = 0; attempt < 24; ++attempt) {
-    const Link victim = rng.pick(split.vertical);
-    const Link incoming = rng.pick(spec.vertical_candidates());
-    if (incoming == victim) continue;
-    if (std::binary_search(d.links.begin(), d.links.end(), incoming)) continue;
     auto deg_after = [&](TileId t) {
       std::size_t deg = adj.degree(t);
       if (t == victim.a || t == victim.b) --deg;
@@ -270,14 +238,14 @@ NocDesign DesignOps::random_neighbor(const NocDesign& d,
       if (swap_cores(out, rng)) return out;
       break;
     case 1:
-      if (move_planar_link(out, rng)) return out;
+      if (move_link(out, /*planar=*/true, rng)) return out;
       break;
     default:
-      if (move_vertical_link(out, rng)) return out;
+      if (move_link(out, /*planar=*/false, rng)) return out;
       break;
   }
   // Fallbacks: a core swap virtually never fails.
-  if (move_planar_link(out, rng)) return out;
+  if (move_link(out, /*planar=*/true, rng)) return out;
   swap_cores(out, rng);
   return out;
 }

@@ -47,8 +47,9 @@ class DesignOps {
   // Individual move kinds, exposed for tests and ablations. Each returns
   // true on success and mutates `d` in place; on failure `d` is unchanged.
   bool swap_cores(NocDesign& d, util::Rng& rng) const;
-  bool move_planar_link(NocDesign& d, util::Rng& rng) const;
-  bool move_vertical_link(NocDesign& d, util::Rng& rng) const;
+  /// Relocates one planar (`planar`) or vertical link to a free candidate
+  /// slot of the same class.
+  bool move_link(NocDesign& d, bool planar, util::Rng& rng) const;
 
  private:
   /// Random feasible placement (LLCs on shuffled edge tiles).

@@ -87,18 +87,11 @@ NocObjectives evaluate_objectives(const PlatformSpec& spec,
 
       // Router energy: every router on the path (hops + 1 of them,
       // including source and destination) spends E_r per port it has.
-      double router_energy = 0.0;
-      {
-        TileId cur = dst;
-        router_energy +=
-            params.e_router * static_cast<double>(adj.degree(dst));
-        routes.for_each_hop(src, dst, [&](TileId a, TileId b) {
-          (void)b;
-          router_energy +=
-              params.e_router * static_cast<double>(adj.degree(a));
-          cur = a;
-        });
-      }
+      double router_energy =
+          params.e_router * static_cast<double>(adj.degree(dst));
+      routes.for_each_hop(src, dst, [&](TileId a, TileId) {
+        router_energy += params.e_router * static_cast<double>(adj.degree(a));
+      });
 
       energy += f * (path_link_energy + router_energy);
       traffic_total += f;

@@ -48,14 +48,13 @@ LineReader::ReadResult LineReader::read_line_for(std::string& out,
   }
 }
 
-bool send_line(int fd, const std::string& line) {
-  std::string framed = line;
-  framed += '\n';
+bool send_line(int fd, std::string line) {
+  line += '\n';
   std::size_t sent = 0;
-  while (sent < framed.size()) {
+  while (sent < line.size()) {
     // MSG_NOSIGNAL: a vanished peer must surface as an error return, not
     // kill the daemon with SIGPIPE.
-    const ssize_t n = ::send(fd, framed.data() + sent, framed.size() - sent,
+    const ssize_t n = ::send(fd, line.data() + sent, line.size() - sent,
                              MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;

@@ -130,8 +130,10 @@ class LineReader {
 };
 
 /// Writes `line` + '\n' fully (handles short writes; suppresses SIGPIPE).
-/// Returns false once the peer is gone.
-bool send_line(int fd, const std::string& line);
+/// Returns false once the peer is gone. Takes the line by value and frames
+/// it in place, so a moved-in line (a multi-report `run` response) is never
+/// copied.
+bool send_line(int fd, std::string line);
 
 /// Serializes and sends one protocol object.
 inline bool send_json(int fd, const util::Json& json) {

@@ -702,22 +702,29 @@ void Server::run_batch(std::shared_ptr<Connection> connection,
                        std::shared_ptr<api::RunControl> control_ptr) {
   const std::size_t batch_size = futures.size();
   const std::string priority_name = sched::priority_name(priority);
-  Json reports = Json::array();
+  // The response is make_ok(id) plus "reports", streamed report by report
+  // into its line as each run finishes (keys stay in dump()'s order).
+  std::string line =
+      "{\"id\":" + util::dec(id) + ",\"ok\":true,\"reports\":[";
   std::uint64_t cancelled_runs = 0;
-  for (auto& future : futures) {
+  for (std::size_t i = 0; i < batch_size; ++i) {
+    if (i > 0) line += ',';
+    const std::size_t start = line.size();
     try {
-      api::RunReport report = future.get();
+      api::RunReport report = futures[i].get();
       if (report.provenance.cancelled) ++cancelled_runs;
       // Echo the class that carried the run — overwriting whatever a
       // cache hit replayed, so the echo always describes THIS request.
       report.provenance.priority = priority_name;
-      reports.append(api::report_to_json(report));
+      api::append_report_json(line, report);
     } catch (const std::exception& e) {
-      Json error = Json::object();
-      error.set("error", e.what());
-      reports.append(std::move(error));
+      line.resize(start);  // drop a partly written report
+      line += "{\"error\":";
+      util::append_json_string(line, e.what());
+      line += '}';
     }
   }
+  line += "]}";
 
   // The batch has answered (reports collected): retire it from the
   // cancel registry — a later cancel for this id is the benign no-op.
@@ -745,12 +752,8 @@ void Server::run_batch(std::shared_ptr<Connection> connection,
   // observes its own finished batch as load.
   connection->inflight.fetch_sub(batch_size, std::memory_order_relaxed);
   inflight_total_.fetch_sub(batch_size, std::memory_order_relaxed);
-  Json response = make_ok(id);
-  response.set("reports", std::move(reports));
-  {
-    util::MutexLock lock(connection->write_mutex);
-    send_json(connection->fd, response);
-  }
+  util::MutexLock lock(connection->write_mutex);
+  send_line(connection->fd, std::move(line));
 }
 
 }  // namespace moela::serve

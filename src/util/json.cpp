@@ -16,30 +16,6 @@ namespace {
                   names[static_cast<int>(got)]);
 }
 
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  out += '"';
-}
-
 void append_double(std::string& out, double d) {
   if (!std::isfinite(d)) {
     out += "null";  // JSON has no literal for inf/nan; see header comment
@@ -76,7 +52,7 @@ void dump_object(std::string& out, const JsonObject& o) {
   for (const auto& [key, value] : o) {
     if (!first) out += ',';
     first = false;
-    append_escaped(out, key);
+    append_json_string(out, key);
     out += ':';
     dump_value(out, value);
   }
@@ -94,7 +70,7 @@ void dump_value(std::string& out, const Json& v) {
         append_double(out, v.as_double());
       }
       break;
-    case Json::Kind::kString: append_escaped(out, v.as_string()); break;
+    case Json::Kind::kString: append_json_string(out, v.as_string()); break;
     case Json::Kind::kArray: dump_array(out, v.as_array()); break;
     case Json::Kind::kObject: dump_object(out, v.as_object()); break;
   }
@@ -362,6 +338,30 @@ Json& Json::append(Json value) {
   if (a == nullptr) kind_error("array", kind());
   a->push_back(std::move(value));
   return *this;
+}
+
+void append_json_string(std::string& out, std::string_view s) {
+  out += '"';
+  for (unsigned char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (c < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
+          out += buffer;
+        } else {
+          out += static_cast<char>(c);
+        }
+    }
+  }
+  out += '"';
 }
 
 std::string Json::dump() const {

@@ -129,9 +129,15 @@ double double_field_or(const Json& object, const std::string& key,
 std::string string_field_or(const Json& object, const std::string& key,
                             std::string fallback = {});
 
+/// Appends `s` to `out` as a quoted JSON string literal, escaped exactly as
+/// dump() escapes strings and keys. Streaming encoders that write JSON text
+/// without building a Json tree (api::append_report_json) go through it, so
+/// their bytes match dump()'s.
+void append_json_string(std::string& out, std::string_view s);
+
 /// Bit-exact double carrier: a hexfloat string value (util::hexfloat
-/// rendering, the same one used by the result cache's disk tier and cache
-/// keys).
+/// rendering, the same one cache keys use; reports carry their doubles this
+/// way on the wire and in the result cache's disk tier).
 Json exact_number(double value);
 /// Reads a double back from exact_number() output — or from a plain JSON
 /// number, so hand-written requests can use ordinary literals.

@@ -1,7 +1,7 @@
 // Tests for the batched execution layer (src/api/): RunRequest cache keys
 // and replicate expansion, the thread-pooled Executor (determinism under
 // concurrency, progress, cancellation), and the two-tier ResultCache
-// (memory + disk, bit-exact round-trips, design codecs).
+// (memory + disk, bit-exact round-trips, the disk entry format).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,10 +10,11 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/executor.hpp"
@@ -22,6 +23,7 @@
 #include "api/request.hpp"
 #include "api/result_cache.hpp"
 #include "api/run_log.hpp"
+#include "api/serde.hpp"
 #include "noc/design.hpp"
 #include "util/json.hpp"
 #include "util/thread_annotations.hpp"
@@ -327,6 +329,11 @@ TEST(ResultCache, NocDesignsRoundTripThroughDisk) {
   for (std::size_t i = 0; i < original_designs.size(); ++i) {
     EXPECT_EQ(original_designs[i], cached_designs[i]);
   }
+  // A fresh cache on the same directory serves a need_designs lookup too.
+  const auto direct =
+      ResultCache(dir.string()).lookup(request.cache_key(), true);
+  ASSERT_TRUE(direct.has_value());
+  EXPECT_EQ(direct->designs_as<noc::NocDesign>(), original_designs);
   std::filesystem::remove_all(dir);
 }
 
@@ -378,7 +385,37 @@ TEST(ResultCache, SkipsCancelledReportsAndEmptyKeys) {
   EXPECT_EQ(cache.stats().stores, 0u);
 }
 
+/// The disk-tier entry file of `key` under `dir`.
+std::filesystem::path entry_path(const std::filesystem::path& dir,
+                                 const std::string& key) {
+  return dir / (ResultCache::hash_key(key) + ".moela");
+}
+
+std::string read_text(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void write_text(const std::filesystem::path& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+}
+
+RunReport small_report() {
+  RunReport report;
+  report.algorithm = "X";
+  report.final_front = {{1.0, 2.0}};
+  report.final_objectives = {{1.0, 2.0}};
+  report.evaluations = 10;
+  return report;
+}
+
 TEST(ResultCacheSerialization, RoundTripsAwkwardDoubles) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(testing::TempDir()) / "moela-awkward-cache";
+  fs::remove_all(dir);
+
   RunReport report;
   report.algorithm = "Name With Spaces";
   report.evaluations = 42;
@@ -394,21 +431,82 @@ TEST(ResultCacheSerialization, RoundTripsAwkwardDoubles) {
   report.final_front = {{0.1 + 0.2, 3.0}};
   report.final_objectives = {{0.1 + 0.2, 3.0}};
 
-  std::stringstream stream;
-  detail::write_report(stream, "k", report);
-  const auto back = detail::read_report(stream, "k");
+  ResultCache(dir.string()).store("k", report);
+  ResultCache reader(dir.string());  // empty memory tier: disk only
+  const auto back = reader.lookup("k");
   ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(reader.stats().disk_hits, 1u);
   EXPECT_EQ(back->algorithm, report.algorithm);
   EXPECT_EQ(back->evaluations, report.evaluations);
   EXPECT_EQ(back->seconds, report.seconds);  // bit-exact, not approximate
   EXPECT_EQ(back->provenance.knobs, report.provenance.knobs);
   ASSERT_EQ(back->snapshots.size(), 1u);
+  EXPECT_EQ(back->snapshots[0].seconds, report.snapshots[0].seconds);
   EXPECT_EQ(back->snapshots[0].front, report.snapshots[0].front);
   EXPECT_EQ(back->final_front, report.final_front);
+  EXPECT_EQ(back->provenance.cache_key, "k");
 
   // A different key (hash collision in disguise) reads as a miss.
-  std::stringstream again(stream.str());
-  EXPECT_FALSE(detail::read_report(again, "other-key").has_value());
+  fs::copy_file(entry_path(dir, "k"), entry_path(dir, "other-key"));
+  EXPECT_FALSE(ResultCache(dir.string()).lookup("other-key").has_value());
+  fs::remove_all(dir);
+}
+
+TEST(ResultCacheSerialization, EntryIsOneJsonLineHoldingKeyAndWireReport) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(testing::TempDir()) / "moela-line-cache";
+  fs::remove_all(dir);
+  RunReport report = small_report();
+  report.provenance.trace_id = "needs \"escaping\"\n";
+  const std::string key = "zdt1|knob=\"x\"";
+  ResultCache(dir.string()).store(key, report);
+
+  const std::string text = read_text(entry_path(dir, key));
+  ASSERT_FALSE(text.empty());
+  EXPECT_EQ(text.find('\n'), text.size() - 1);  // exactly one line
+  const util::Json entry = util::Json::parse(text);
+  EXPECT_EQ(entry.as_object().size(), 2u);
+  EXPECT_EQ(entry.find("key")->as_string(), key);
+  std::string wire;
+  append_report_json(wire, report);
+  EXPECT_EQ(entry.find("report")->dump(), wire);
+  fs::remove_all(dir);
+}
+
+TEST(ResultCacheSerialization, UnreadableEntriesMissAndAreReplaced) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(testing::TempDir()) / "moela-bad-cache";
+  fs::remove_all(dir);
+  const RunReport report = small_report();
+  ResultCache(dir.string()).store("k", report);
+  ResultCache(dir.string()).store("other-key", report);
+  const std::string good = read_text(entry_path(dir, "k"));
+  const std::string other = read_text(entry_path(dir, "other-key"));
+
+  const std::pair<const char*, std::string> cases[] = {
+      {"legacy moela-report v1 file",
+       "moela-report v1\nkey k\nalgorithm X\nproblem -\n"
+       "algorithm_key -\nseed 0\nevaluations 10\nseconds 0x0p+0\n"
+       "knobs 0\nsnapshots 0\nfront 1 2\n0x1p+0 0x1p+1\n"
+       "objectives 1 2\n0x1p+0 0x1p+1\ndesigns none 0\n"},
+      {"truncated JSON line", good.substr(0, good.size() / 2)},
+      {"valid line, embedded key differs", other},
+      {"valid line, report not an object", "{\"key\":\"k\",\"report\":7}\n"},
+  };
+  for (const auto& [what, text] : cases) {
+    write_text(entry_path(dir, "k"), text);
+    ResultCache cache(dir.string());
+    EXPECT_FALSE(cache.lookup("k").has_value()) << what;
+    EXPECT_EQ(cache.stats().misses, 1u) << what;
+    cache.store("k", report);
+    EXPECT_EQ(read_text(entry_path(dir, "k")), good) << what;
+    ResultCache fresh(dir.string());
+    const auto hit = fresh.lookup("k");
+    ASSERT_TRUE(hit.has_value()) << what;
+    EXPECT_EQ(fresh.stats().disk_hits, 1u) << what;
+    EXPECT_EQ(hit->final_front, report.final_front) << what;
+  }
+  fs::remove_all(dir);
 }
 
 // --- Knob-key declarations ------------------------------------------------

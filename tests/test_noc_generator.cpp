@@ -114,7 +114,7 @@ TEST(Generator, MovePlanarLinkKeepsBudgetAndConnectivity) {
   NocDesign d = ops.random_design(rng);
   int moved = 0;
   for (int i = 0; i < 50; ++i) {
-    if (ops.move_planar_link(d, rng)) {
+    if (ops.move_link(d, /*planar=*/true, rng)) {
       ++moved;
       ASSERT_TRUE(is_feasible(spec, d));
     }
@@ -129,7 +129,7 @@ TEST(Generator, MoveVerticalLinkNoopWhenSaturated) {
   util::Rng rng(17);
   NocDesign d = ops.random_design(rng);
   const NocDesign before = d;
-  EXPECT_FALSE(ops.move_vertical_link(d, rng));
+  EXPECT_FALSE(ops.move_link(d, /*planar=*/false, rng));
   EXPECT_EQ(d, before);
 }
 
@@ -145,7 +145,7 @@ TEST(Generator, MoveVerticalLinkWorksWhenUnsaturated) {
   NocDesign d = ops.random_design(rng);
   int moved = 0;
   for (int i = 0; i < 30; ++i) {
-    if (ops.move_vertical_link(d, rng)) {
+    if (ops.move_link(d, /*planar=*/false, rng)) {
       ++moved;
       ASSERT_TRUE(is_feasible(spec, d));
     }

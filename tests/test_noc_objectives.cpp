@@ -137,7 +137,7 @@ TEST(Objectives, ThermalIndependentOfLinks) {
   DesignOps ops(spec);
   const NocDesign d1 = ops.random_design(rng);
   NocDesign d2 = d1;
-  ops.move_planar_link(d2, rng);
+  ops.move_link(d2, /*planar=*/true, rng);
   const auto o1 = evaluate_objectives(spec, d1, w, tiny_params());
   const auto o2 = evaluate_objectives(spec, d2, w, tiny_params());
   EXPECT_DOUBLE_EQ(o1.thermal, o2.thermal);

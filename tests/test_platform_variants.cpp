@@ -144,7 +144,7 @@ TEST(TallStack, VerticalBudgetBelowCandidatesIsMovable) {
   NocDesign d = ops.random_design(rng);
   int moved = 0;
   for (int i = 0; i < 30; ++i) {
-    if (ops.move_vertical_link(d, rng)) {
+    if (ops.move_link(d, /*planar=*/false, rng)) {
       ++moved;
       ASSERT_TRUE(is_feasible(spec, d));
     }

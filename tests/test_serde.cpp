@@ -1,7 +1,9 @@
 // Tests for the RunRequest / RunReport JSON serde (api/serde.hpp): full
 // field round-trips (including knobs, problem options, provenance and the
-// three design codecs), bit-exact doubles through the wire form, and the
-// validation errors for malformed requests.
+// three design kinds), bit-exact doubles through the wire form, the
+// validation errors for malformed requests, and the streaming report
+// encoder's bytes against the frozen tree-building oracle
+// (reference_report_json.hpp).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +15,7 @@
 #include "noc/design.hpp"
 #include "noc/generator.hpp"
 #include "noc/platform.hpp"
+#include "reference_report_json.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -20,6 +23,12 @@ namespace moela::api {
 namespace {
 
 using util::Json;
+
+std::string report_json(const RunReport& report) {
+  std::string out;
+  append_report_json(out, report);
+  return out;
+}
 
 RunRequest sample_request() {
   RunRequest request;
@@ -108,7 +117,7 @@ TEST(ReportSerde, PriorityProvenanceRoundTripsAndDefaults) {
   original.algorithm = "hand-built";
   original.provenance.priority = "interactive";
   const RunReport back =
-      report_from_json(Json::parse(report_to_json(original).dump()));
+      report_from_json(Json::parse(report_json(original)));
   EXPECT_EQ(back.provenance.priority, "interactive");
 
   // A report from a peer predating the scheduler carries no priority
@@ -158,7 +167,7 @@ TEST(ReportSerde, RealDesignsRoundTripBitIdentical) {
   const RunReport original = run_report("zdt1", "nsga2");
   ASSERT_FALSE(original.final_designs.empty());
   const RunReport back =
-      report_from_json(Json::parse(report_to_json(original).dump()));
+      report_from_json(Json::parse(report_json(original)));
   expect_bit_identical(original, back);
   EXPECT_EQ(back.designs_as<std::vector<double>>(),
             original.designs_as<std::vector<double>>());
@@ -168,7 +177,7 @@ TEST(ReportSerde, BinaryDesignsRoundTrip) {
   const RunReport original = run_report("knapsack", "nsga2");
   ASSERT_FALSE(original.final_designs.empty());
   const RunReport back =
-      report_from_json(Json::parse(report_to_json(original).dump()));
+      report_from_json(Json::parse(report_json(original)));
   expect_bit_identical(original, back);
   EXPECT_EQ(back.designs_as<std::vector<std::uint8_t>>(),
             original.designs_as<std::vector<std::uint8_t>>());
@@ -184,7 +193,7 @@ TEST(ReportSerde, NocDesignsRoundTrip) {
       AnyDesign::wrap<noc::NocDesign>(ops.random_design(rng)));
   original.final_objectives.push_back({1.0, 2.0});
   const RunReport back =
-      report_from_json(Json::parse(report_to_json(original).dump()));
+      report_from_json(Json::parse(report_json(original)));
   ASSERT_EQ(back.final_designs.size(), 1u);
   EXPECT_EQ(back.designs_as<noc::NocDesign>().front(),
             original.designs_as<noc::NocDesign>().front());
@@ -195,9 +204,74 @@ TEST(ReportSerde, UnknownDesignTypeDegradesToNone) {
   original.algorithm = "custom";
   original.final_designs.push_back(AnyDesign::wrap<int>(7));
   const RunReport back =
-      report_from_json(Json::parse(report_to_json(original).dump()));
+      report_from_json(Json::parse(report_json(original)));
   EXPECT_TRUE(back.final_designs.empty());  // payload dropped, not garbled
   EXPECT_EQ(back.algorithm, "custom");
+}
+
+/// The streaming encoder writes the oracle's bytes, and those bytes are
+/// already canonical: parsing and re-dumping them changes nothing.
+void expect_reference_bytes(const RunReport& report, const char* what) {
+  const std::string streamed = report_json(report);
+  EXPECT_EQ(streamed, reference::report_to_json(report).dump()) << what;
+  EXPECT_EQ(Json::parse(streamed).dump(), streamed) << what;
+}
+
+TEST(ReportEncoder, MatchesReferenceForEachDesignKind) {
+  expect_reference_bytes(run_report("zdt1", "nsga2"), "real");
+  expect_reference_bytes(run_report("knapsack", "moead"), "binary");
+
+  RunReport noc_report;
+  noc_report.algorithm = "hand-built";
+  const noc::PlatformSpec spec = noc::PlatformSpec::small_3x3x3();
+  const noc::DesignOps ops(spec);
+  util::Rng rng(11);
+  for (int i = 0; i < 3; ++i) {
+    noc_report.final_designs.push_back(
+        AnyDesign::wrap<noc::NocDesign>(ops.random_design(rng)));
+    noc_report.final_objectives.push_back({0.1 * i, 1.0 / 3.0, -2.5e300});
+  }
+  noc_report.final_front = noc_report.final_objectives;
+  expect_reference_bytes(noc_report, "noc");
+
+  RunReport none;
+  none.algorithm = "custom";
+  none.final_designs.push_back(AnyDesign::wrap<int>(7));
+  none.final_front = {{1.0, 2.0}};
+  expect_reference_bytes(none, "unknown design type");
+}
+
+TEST(ReportEncoder, MatchesReferenceForEmptyReport) {
+  expect_reference_bytes(RunReport{}, "default-constructed");
+}
+
+TEST(ReportEncoder, MatchesReferenceWithEscapesAndAwkwardDoubles) {
+  RunReport report;
+  report.algorithm = "quote\" back\\slash";
+  report.evaluations = 18446744073709551615ull;
+  report.seconds = -0.0;
+  report.provenance.problem = "tab\there";
+  report.provenance.algorithm_key = "";
+  report.provenance.seed = (1ull << 60) + 9;
+  report.provenance.knobs["line\nbreak"] = 5e-324;  // smallest denormal
+  report.provenance.knobs["ctl\x01\x1f"] = 0.1;
+  report.provenance.knobs["plain"] = 1e308;
+  report.provenance.cache_key = "zdt1|knob=\"x\"";
+  report.provenance.cache_hit = true;
+  report.provenance.cancelled = true;
+  report.provenance.priority = "batch";
+  report.provenance.trace_id = "trace\r\n\b\f\u00e9";
+  core::ArchiveSnapshot empty_snapshot;
+  core::ArchiveSnapshot snapshot;
+  snapshot.evaluations = 21;
+  snapshot.seconds = 0.123456789123456789;
+  snapshot.front = {{1.0 / 7.0, -2.5e300}, {0.0, 1.0}};
+  report.snapshots = {empty_snapshot, snapshot};
+  report.final_front = {{}};
+  report.final_objectives = {{0.1 + 0.2, 3.0}};
+  report.final_designs.push_back(
+      AnyDesign::wrap<std::vector<double>>(std::vector<double>{}));
+  expect_reference_bytes(report, "escapes");
 }
 
 }  // namespace
